@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 import signal
 import time
+from array import array
 from fractions import Fraction
 
 REF_PROBE_S = 3.4e-4
@@ -74,8 +75,12 @@ class Timeline:
 
     def __init__(self, during_ops: bool = False):
         self.samples: list[tuple[float, float, float]] = []  # start, end, p
-        # wall, first and last probe index, user CPU time of a child
-        self.ops: list[tuple[float, int, int, float | None]] = []
+        # per op, in arrays so that a long run of short ops stays small:
+        # wall time, first and last probe index, user CPU time of a child
+        self._wall = array("d")
+        self._first = array("i")
+        self._last = array("i")
+        self._user: list[float] = []
         self.spent = 0.0
         self._during = during_ops
         self._sampling = False
@@ -103,7 +108,11 @@ class Timeline:
     def op_done(self, token, user: float | None = None) -> None:
         t0, k0, spent0 = token
         wall = time.perf_counter() - t0 - (self.spent - spent0)
-        self.ops.append((wall, k0 - 1, len(self.samples), user))
+        self._wall.append(wall)
+        self._first.append(k0 - 1)
+        self._last.append(len(self.samples))
+        if user is not None:
+            self._user.append(user)
         if (not self._during
                 and time.perf_counter() - self.samples[-1][1] >= PROBE_GAP_S):
             self._sample()
@@ -116,13 +125,15 @@ class Timeline:
 
     @property
     def wall_ops(self) -> list[float]:
-        return [op[0] for op in self.ops]
+        return self._wall.tolist()
 
     @property
     def cal_ops(self) -> list[float]:
         p = [s[2] for s in self.samples]
+        users = self._user or [None] * len(self._wall)
         out = []
-        for wall, a, b, user in self.ops:
+        for wall, a, b, user in zip(self._wall, self._first, self._last,
+                                    users):
             mean = sum(p[a:b + 1]) / (b - a + 1)
             out.append(scale(wall, mean, mean, user))
         return out

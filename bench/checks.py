@@ -74,10 +74,9 @@ def inner_is_zero(pairs) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _tjm(rows2, bottom) -> tuple[int, int]:
-    """Doubled (2j, 2m) of the SU(2) pattern [rows2, [bottom]]."""
-    h12, h22 = rows2
-    return h12 - h22, 2 * bottom - h12 - h22
+def table_entries(table) -> dict:
+    """A gtboson CouplingTable's entries with values as (q, r)."""
+    return {k: (v.q, v.r) for k, v in table.entries.items()}
 
 
 def table_problems(triple, entries, rho_count=None) -> list[str]:
@@ -145,7 +144,8 @@ def _bottom_rows(triple, mids, rho, entries):
     for bots in itertools.product(*(range(m[1], m[0] + 1) for m in mids)):
         key = tuple((tuple(h), tuple(m), (b,))
                     for h, m, b in zip(triple, mids, bots)) + (rho,)
-        tj = threej(*(x for m, b in zip(mids, bots) for x in _tjm(m, b)))
+        tj = threej(*(x for m, b in zip(mids, bots)
+                      for x in genops.su2_tjm(m, b)))
         yield bots, sign_square(entries.get(key, ZERO)), tj
 
 
@@ -219,7 +219,8 @@ def nonorthogonal_pairs(results) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _rows(text: str):
+def parse_rows(text: str):
+    """'4,2,0;3,1;2' -> ((4, 2, 0), (3, 1), (2,)); also label triples."""
     return tuple(tuple(int(v) for v in r.split(",")) for r in text.split(";"))
 
 
@@ -240,7 +241,8 @@ def parse_su3cg(text: str, fmt: str):
             raise ValueError("unexpected csv header")
         for line in lines[1:]:
             tok = line.split(",")
-            pats = [_rows(",".join(tok[4 * i:4 * i + 4])) for i in range(3)]
+            pats = [parse_rows(",".join(tok[4 * i:4 * i + 4]))
+                    for i in range(3)]
             entries[tuple(pats) + (int(tok[12]),)] = parse_sqrt(tok[13])
         return None, entries
     head, _, count = lines[0].partition("=")
@@ -248,7 +250,8 @@ def parse_su3cg(text: str, fmt: str):
         raise ValueError("missing rho_count line")
     for line in lines[1:]:
         p1, p2, p3, rho, value = (s.strip() for s in line.split("|"))
-        key = (_rows(p1), _rows(p2), _rows(p3), int(rho.removeprefix("rho=")))
+        key = (parse_rows(p1), parse_rows(p2), parse_rows(p3),
+               int(rho.removeprefix("rho=")))
         entries[key] = parse_sqrt(value)
     return int(count), entries
 

@@ -21,9 +21,9 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import platform
-import resource
 import statistics
 import subprocess
 import sys
@@ -38,9 +38,11 @@ sys.path.insert(0, str(BENCH))
 import calib  # noqa: E402
 import checks  # noqa: E402
 import genops  # noqa: E402
+import procs  # noqa: E402
 
 WORKLOADS = ("su3-build", "su3-query", "basis-u4", "cli-oneshot")
 MIN_OPS = 100          # at least ten latency samples beyond p90
+CLI_DECK_LEN = sum(genops.CLI_DECK.values())
 SETUP_SAMPLES = 5
 CHILD_TIMEOUT_S = 170
 TRACE_MARK = "@@trace "
@@ -80,6 +82,15 @@ class Bench:
         path = os.environ.get("PYTHONPATH")
         self.env = dict(os.environ,
                         PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+    @functools.cached_property
+    def spawner(self) -> procs.Spawner:
+        """Starts every CLI process, so that its peak RSS is its own."""
+        return procs.Spawner(self.env, str(self.root), str(self.out))
+
+    def close(self) -> None:
+        if "spawner" in self.__dict__:
+            self.spawner.close()
 
     # -- in-process workloads ---------------------------------------------------
 
@@ -131,7 +142,7 @@ class Bench:
 
     @functools.cached_property
     def query_pools(self) -> dict:
-        return genops.su3_query_pools(self.seed, _threej_value)
+        return genops.su3_query_pools()
 
     def setup_samples(self, workload: str, runs: list[dict]) -> list:
         """(calibrated, wall) set-up times: the measured workers', topped up
@@ -145,21 +156,12 @@ class Bench:
     # -- cli-oneshot ------------------------------------------------------------
 
     def cli(self, args, traced: bool = False, spans_path: str = ""):
-        """Run one CLI process; returns exit code, stdout, stderr and the
-        child's user CPU time (its only child while it runs)."""
+        """Run one CLI process; returns exit code, stdout, stderr, the
+        child's user CPU time and its peak RSS in KiB."""
         head = ([str(BENCH / "cli_child.py"), spans_path] if traced
                 else ["-m", "gtboson.cli"])
-        user0 = resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime
-        try:
-            proc = subprocess.run([sys.executable, *head, *args],
-                                  capture_output=True, text=True,
-                                  env=self.env, cwd=self.root,
-                                  timeout=CHILD_TIMEOUT_S)
-            rc, out, err = proc.returncode, proc.stdout, proc.stderr
-        except subprocess.TimeoutExpired:
-            rc, out, err = -1, "", ""
-        user = resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime - user0
-        return rc, out, err, user
+        return self.spawner.run([sys.executable, *head, *args],
+                                CHILD_TIMEOUT_S)
 
     def cli_setup_samples(self) -> list:
         """(calibrated, wall) set-up times of cli-oneshot: a bare
@@ -168,7 +170,7 @@ class Bench:
         for _ in range(SETUP_SAMPLES):
             p_a = calib.probe()
             t0 = time.perf_counter()
-            rc, _, _, user = self.cli(["--version"])
+            rc, _, _, user, _ = self.cli(["--version"])
             wall = time.perf_counter() - t0
             if rc != 0:
                 raise RuntimeError("gtboson.cli --version failed")
@@ -178,27 +180,28 @@ class Bench:
 
     def cli_phase(self, budget: float | None, count: int | None = None,
                   traced: bool = False, spans_path: str = "") -> dict:
-        """Closed loop of fresh CLI processes, one at a time."""
-        pools = genops.cli_pools(self.seed, _threej_value)
-        stream = genops.decks(pools, genops.CLI_DECK, self.seed)
+        """Closed loop of fresh CLI processes, one at a time, in whole
+        decks until `budget` seconds have passed (or `count` ops)."""
+        pools = genops.cli_pools(self.seed)
+        stream = genops.decks(pools, genops.CLI_DECK, self.seed, pin_top=True)
         timeline = calib.Timeline()
-        done, traces = [], []
+        done, traces, maxrss = [], [], 0
         t0 = time.perf_counter()
         for args in stream:
             token = timeline.start()
-            rc, out, err, user = self.cli(args, traced, spans_path)
+            rc, out, err, user, rss = self.cli(args, traced, spans_path)
             timeline.op_done(token, user)
+            maxrss = max(maxrss, rss)
             last = err.rstrip().rpartition("\n")[2]
             if traced and last.startswith(TRACE_MARK):
                 traces.append((len(done), json.loads(last[len(TRACE_MARK):])))
             done.append((args, rc, out))
             if count is not None and len(done) >= count:
                 break
-            if (count is None and len(done) >= MIN_OPS
+            if (count is None and len(done) % CLI_DECK_LEN == 0
                     and time.perf_counter() - t0 >= budget):
                 break
         timeline.close()
-        maxrss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
         ok = cli_verdicts(done)
         wall_ops, cal_ops = timeline.wall_ops, timeline.cal_ops
         for i, tr in traces:
@@ -211,12 +214,22 @@ class Bench:
                 "cal_total": timeline.cal_total, "maxrss_kb": maxrss,
                 "traces": [tr for _, tr in traces]}
 
+    def bare_child_rss_mb(self) -> float:
+        """Peak RSS a `python -c pass` child reports when started the way
+        the CLI ops are: the floor under cli-oneshot's peak_rss_mb."""
+        rc, _, _, _, rss = self.spawner.run([sys.executable, "-c", "pass"],
+                                            CHILD_TIMEOUT_S)
+        if rc != 0:
+            raise RuntimeError("python -c pass failed")
+        return rss / 1024
+
     # -- runs -----------------------------------------------------------------
 
     def end_to_end(self, workload: str) -> tuple[dict, dict]:
         if workload == "cli-oneshot":
             setups = self.cli_setup_samples()
             m = self.cli_phase(self.seconds)
+            m["bare_child_rss_mb"] = self.bare_child_rss_mb()
         else:
             runs = self.phase(workload, self.seconds, trace=False)
             m = merge(runs)
@@ -231,8 +244,10 @@ class Bench:
             by_kind.setdefault(k, []).append(lat)
         info = {"setup_samples_s": [s[0] for s in setups],
                 "wall_clock": wall,
-                "latency_p50_s_by_kind": {k: statistics.median(v)
+                "latency_p50_s_by_kind": {k: hd_quantile(v, 0.5)
                                           for k, v in sorted(by_kind.items())}}
+        if "bare_child_rss_mb" in m:
+            info["bare_child_rss_mb"] = m["bare_child_rss_mb"]
         if "nonorthogonal_pairs" in m:
             info["known_defect_nonorthogonal_pairs"] = m["nonorthogonal_pairs"]
         return m, {"metrics": metrics, "info": info}
@@ -270,10 +285,6 @@ class Bench:
         return merged, {"metrics": metrics, "info": info}
 
 
-def _threej_value(*doubled) -> int:
-    return checks.threej(*doubled)[0]
-
-
 def merge(runs: list[dict]) -> dict:
     m = {"ops": sum(r["ops"] for r in runs),
          "failed": sum(r["failed"] for r in runs),
@@ -295,10 +306,25 @@ def rate(m: dict) -> float:
 
 
 def timing_metrics(latencies, total, m) -> dict:
-    q = statistics.quantiles(latencies, n=10, method="inclusive")
     return {"ops_per_s": (m["ops"] - m["failed"]) / total,
-            "latency_p50_s": statistics.median(latencies),
-            "latency_p90_s": q[8]}
+            "latency_p50_s": hd_quantile(latencies, 0.5),
+            "latency_p90_s": hd_quantile(latencies, 0.9)}
+
+
+def hd_quantile(values, p: float) -> float:
+    """Harrell-Davis estimate of the p-quantile: the mean of all order
+    statistics weighted by the Beta(p(n+1), (1-p)(n+1)) density at each
+    rank's midpoint.  A single order statistic jumps when the quantile falls
+    in a gap between clusters of op costs, as su3-build's median does
+    (0.025 or 0.031 s by seed); this estimate moves smoothly."""
+    xs = sorted(values)
+    n = len(xs)
+    a, b = p * (n + 1) - 1, (1 - p) * (n + 1) - 1
+    logw = [a * math.log((i + 0.5) / n) + b * math.log1p(-(i + 0.5) / n)
+            for i in range(n)]
+    top = max(logw)
+    w = [math.exp(x - top) for x in logw]
+    return sum(wi * x for wi, x in zip(w, xs)) / sum(w)
 
 
 def cache_deltas(procs: list[dict]) -> dict:
@@ -406,7 +432,7 @@ def cli_verdicts(done) -> list[bool]:
     def table(triple):
         if triple not in tables:
             t = gtboson.coupling_table(triple)
-            e = {k: (v.q, v.r) for k, v in t.entries.items()}
+            e = checks.table_entries(t)
             good = not checks.table_problems(triple, e, t.rho_count)
             tables[triple] = e if good else None
         return tables[triple]
@@ -418,11 +444,11 @@ def cli_verdicts(done) -> list[bool]:
         opt = dict(zip(flat[0::2], flat[1::2]))
         cmd = args[0]
         if cmd == "su3cg":
-            triple = _labels(opt["--labels"])
+            triple = checks.parse_rows(opt["--labels"])
             rho_count, entries = checks.parse_su3cg(out, opt["--format"])
             return not checks.table_problems(triple, entries, rho_count)
         if cmd == "basis":
-            rows = checks._rows(opt["--pattern"])
+            rows = checks.parse_rows(opt["--pattern"])
             closed = (gtboson.u3_basis_closed if len(rows) == 3
                       else gtboson.u4_basis_closed)(rows)
             ns = closed.norm_sq
@@ -435,10 +461,9 @@ def cli_verdicts(done) -> list[bool]:
             args6 = [int(x) for pair in zip(js, ms) for x in pair]
             return checks.threej_ok(args6, checks.parse_sqrt(out))
         if cmd == "isoscalar":
-            triple = _labels(opt["--labels"])
+            triple = checks.parse_rows(opt["--labels"])
             entries = table(triple)
-            rows = [tuple(map(int, r.split(","))) for r in
-                    opt["--rows"].split(";")]
+            rows = checks.parse_rows(opt["--rows"])
             return entries is not None and checks.isoscalar_ok(
                 triple, rows, int(opt["--rho"]), checks.parse_sqrt(out),
                 entries)
@@ -451,7 +476,7 @@ def cli_verdicts(done) -> list[bool]:
             if obj["count"] != len(listed):
                 return False
         else:
-            listed = [checks._rows(line) for line in out.splitlines()]
+            listed = [checks.parse_rows(line) for line in out.splitlines()]
         return checks.patterns_ok(top, listed)
 
     out = []
@@ -461,10 +486,6 @@ def cli_verdicts(done) -> list[bool]:
         except (ValueError, KeyError, IndexError):
             out.append(False)
     return out
-
-
-def _labels(text: str):
-    return tuple(tuple(map(int, part.split(","))) for part in text.split(";"))
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +571,11 @@ def main(argv=None) -> int:
     sys.path.insert(1, str(root / "src"))
     calib.pin_to_one_cpu()
     bench = Bench(root, args.seed, args.seconds)
-    print(json.dumps(run_one(bench, args.workload, bool(args.trace))))
+    try:
+        result = run_one(bench, args.workload, bool(args.trace))
+    finally:
+        bench.close()
+    print(json.dumps(result))
     return 0
 
 

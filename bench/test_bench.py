@@ -11,6 +11,8 @@ import io
 import itertools
 import json
 import os
+import statistics
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -27,6 +29,7 @@ import gtboson.cli  # noqa: E402
 
 import checks  # noqa: E402
 import genops  # noqa: E402
+import procs  # noqa: E402
 import run  # noqa: E402
 import spans  # noqa: E402
 import worker  # noqa: E402
@@ -34,12 +37,8 @@ import worker  # noqa: E402
 OCTETS = ((2, 1, 0), (2, 1, 0), (2, 1, 0))
 
 
-def _threej_sign(*a):
-    return checks.threej(*a)[0]
-
-
-def _stream(pools, deck, seed, n=60):
-    return list(itertools.islice(genops.decks(pools, deck, seed), n))
+def _stream(pools, deck, seed, n=60, pin_top=False):
+    return list(itertools.islice(genops.decks(pools, deck, seed, pin_top), n))
 
 
 # -- seeded inputs ------------------------------------------------------------
@@ -60,22 +59,48 @@ def test_same_seed_same_ops_other_seed_other_order(make):
 
 
 def test_streams_are_seeded():
-    q = genops.su3_query_pools(3, _threej_sign)
-    assert q == genops.su3_query_pools(3, _threej_sign)
+    q = genops.su3_query_pools()
     deck = genops.QUERY_DECK
     assert _stream(q, deck, 3) == _stream(q, deck, 3)
     assert _stream(q, deck, 3) != _stream(q, deck, 4)
-    c = genops.cli_pools(3, _threej_sign)
-    assert c == genops.cli_pools(3, _threej_sign)
-    assert c["threej"] != genops.cli_pools(4, _threej_sign)["threej"]
+    c = genops.cli_pools(3)
+    assert c == genops.cli_pools(3)
+    assert c["threej"] != genops.cli_pools(4)["threej"]
     assert _stream(c, genops.CLI_DECK, 3) != _stream(c, genops.CLI_DECK, 4)
 
 
-def test_stream_keeps_the_deck_mix():
-    q = genops.su3_query_pools(1, _threej_sign)
-    ops = _stream(q, genops.QUERY_DECK, 1, n=200)
-    assert {k: sum(op[0] == k for op in ops) for k in genops.QUERY_DECK} == {
-        k: 10 * v for k, v in genops.QUERY_DECK.items()}
+@pytest.mark.parametrize("name", ["query", "cli"])
+def test_stream_keeps_the_deck_mix(name):
+    pools, deck = ((genops.su3_query_pools(), genops.QUERY_DECK)
+                   if name == "query" else
+                   (genops.cli_pools(1), genops.CLI_DECK))
+    ops = _stream(pools, deck, 1, n=3 * sum(deck.values()))
+    assert {k: sum(op[0] == k for op in ops) for k in deck} == {
+        k: 3 * v for k, v in deck.items()}
+
+
+def test_pinned_top_draw_is_the_dearest_input():
+    c = genops.cli_pools(2)
+    deck = _stream(c, genops.CLI_DECK, 2, n=sum(genops.CLI_DECK.values()),
+                   pin_top=True)
+    assert all(pool[-1] in deck for pool in c.values())
+
+
+def test_cli_deck_gives_every_command_an_equal_share():
+    assert set(genops.CLI_DECK) == set(genops.cli_pools(1))
+    assert len(set(genops.CLI_DECK.values())) == 1
+    assert sum(genops.CLI_DECK.values()) >= run.MIN_OPS
+
+
+def test_racah_threej_matches_sympy():
+    for args in itertools.product(range(5), range(-4, 5), range(5),
+                                  range(-4, 5), range(5)):
+        tj1, tm1, tj2, tm2, tj3 = args
+        for tm3 in (-tm1 - tm2, 1 - tm1 - tm2):
+            a = (tj1, tm1, tj2, tm2, tj3, tm3)
+            assert genops.threej(*a) == checks.threej(*a), a
+    a = (60, 2, 58, -4, 40, 2)
+    assert genops.threej(*a) == checks.threej(*a)
 
 
 # -- corrupted values are failures --------------------------------------------
@@ -87,7 +112,7 @@ def _negate(v):
 
 def test_su3_build_check_rejects_a_flipped_sign():
     table = gtboson.coupling_table(OCTETS)
-    entries = {k: (v.q, v.r) for k, v in table.entries.items()}
+    entries = checks.table_entries(table)
     assert checks.table_problems(OCTETS, entries, table.rho_count) == []
     key = sorted(entries)[5]
     bad = entries | {key: _negate(entries[key])}
@@ -103,7 +128,7 @@ class _Value:
 
 def test_su3_query_check_rejects_each_corrupted_read():
     fixtures = {t: gtboson.coupling_table(t) for t in genops.QUERY_TABLES}
-    pools = genops.su3_query_pools(1, _threej_sign)
+    pools = genops.su3_query_pools()
     run_op = worker._executor(gtboson)
     done = [next((op, v) for op in pools[kind] if (v := run_op(op)).q)
             for kind in ("wigner", "isoscalar", "threej")]
@@ -114,6 +139,18 @@ def test_su3_query_check_rejects_each_corrupted_read():
         bad[i] = (op, _Value(-v.q, v.r))
         verdicts = worker._check_queries(bad, fixtures)
         assert verdicts[i] is False
+
+
+def test_a_corrupted_repeat_read_is_checked_on_its_own():
+    outputs = worker.Outputs()
+    run_op = worker._executor(gtboson)
+    op, good = next((op, v) for op in genops.su3_query_pools()["threej"]
+                    if (v := run_op(op)).q)
+    for out in (good, good, _Value(-good.q, good.r), good):
+        outputs.add(op, out)
+    done, weights = outputs.weighted()
+    assert outputs.n == 4 and weights == [3, 1]
+    assert worker._check_queries(done, {}) == [True, False]
 
 
 def test_su3_query_block_check_rejects_a_non_unit_block():
@@ -187,10 +224,42 @@ def test_cli_check_rejects_a_corrupted_output(args, corrupt):
 
 
 def test_cli_pools_are_valid_commands():
-    pools = genops.cli_pools(1, _threej_sign)
+    pools = genops.cli_pools(1)
     sample = [ops[0] for ops in pools.values()]
     done = [(a, *_cli(a)) for a in sample]
     assert run.cli_verdicts(done) == [True] * len(done)
+
+
+# -- peak RSS -------------------------------------------------------------------
+
+_OWN_PEAK = "import procs; print(procs.peak_rss_kb())"
+
+
+def test_child_peak_rss_excludes_the_parent(tmp_path):
+    """Under a parent far larger than any child, a CLI child started by the
+    spawner reports its own peak, as a workload process reading its own
+    VmHWM does; a child started directly would report the parent's."""
+    bench_dir = os.path.dirname(os.path.abspath(__file__))
+    ballast = b"x" * (96 << 20)
+    parent_kb = procs.peak_rss_kb()
+    assert parent_kb > 96 << 10
+    env = dict(os.environ, PYTHONPATH=bench_dir)
+    with procs.Spawner(env, str(tmp_path), str(tmp_path)) as sp:
+        rc, out, _, _, reported = sp.run(
+            [sys.executable, "-c", _OWN_PEAK], 60)
+        bare = sp.run([sys.executable, "-c", "pass"], 60)
+        killed = sp.run([sys.executable, "-c", "import time; time.sleep(30)"],
+                        1)
+    assert rc == 0 and bare[0] == 0
+    own = int(out)
+    assert abs(reported - own) < 1024
+    assert abs(bare[4] - own) < 2048
+    assert reported < parent_kb / 3
+    assert killed[0] < 0
+    direct = subprocess.run([sys.executable, "-c", _OWN_PEAK], env=env,
+                            capture_output=True, text=True, check=True)
+    assert abs(int(direct.stdout) - own) < 2048
+    del ballast
 
 
 # -- tracer -------------------------------------------------------------------
@@ -242,6 +311,14 @@ def test_benchmark_json_lists_the_reported_metrics():
     assert [w["name"] for w in doc["workloads"]] == list(run.WORKLOADS)
     assert {m["name"]: m["unit"] for m in doc["end_to_end"]} == run.END_TO_END
     assert {m["name"]: m["unit"] for m in doc["per_layer"]} == run.PER_LAYER
+
+
+def test_hd_quantile_moves_smoothly_across_a_gap():
+    low, high = [1.0] * 50 + [2.0] * 51, [1.0] * 51 + [2.0] * 50
+    assert statistics.median(low) == 2.0 and statistics.median(high) == 1.0
+    assert abs(run.hd_quantile(low, 0.5) - run.hd_quantile(high, 0.5)) < 0.1
+    assert run.hd_quantile(range(1, 102), 0.5) == pytest.approx(51)
+    assert 89 < run.hd_quantile(range(1, 102), 0.9) < 92
 
 
 def test_exact_helpers():

@@ -13,11 +13,13 @@ import json
 import resource
 import sys
 import time
+from array import array
 
 import calib
 import checks
 import genops
 import gtboson
+import procs
 
 
 def main() -> None:
@@ -47,7 +49,8 @@ def main() -> None:
         ops = genops.decks(spec["pools"], genops.QUERY_DECK, spec["seed"])
     run = _executor(gtboson)
     seconds, max_ops = spec.get("seconds"), spec.get("max_ops")
-    done = []
+    deck_len = sum(genops.QUERY_DECK.values())  # stop on whole decks
+    outputs = Outputs()
     timeline = calib.Timeline(during_ops=True)
     t0 = time.perf_counter()
     for op in ops:
@@ -57,14 +60,15 @@ def main() -> None:
         except Exception as exc:  # a failing op is counted, not fatal
             out = exc
         timeline.op_done(token)
-        done.append((op, out))
-        if max_ops is not None and len(done) >= max_ops:
+        outputs.add(op, out)
+        if max_ops is not None and outputs.n >= max_ops:
             break
-        if (seconds is not None and len(done) >= spec["min_ops"]
+        if (seconds is not None and outputs.n >= spec["min_ops"]
+                and outputs.n % deck_len == 0
                 and time.perf_counter() - t0 >= seconds):
             break
     timeline.close()
-    result["maxrss_kb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    result["maxrss_kb"] = procs.peak_rss_kb()
     if tracer is not None:
         tracer.uninstall()
         result["trace"] = tracer.summary()
@@ -73,18 +77,54 @@ def main() -> None:
         if spec.get("spans_path"):
             tracer.write(spec["spans_path"])
 
+    done, weights = outputs.weighted()
     ok = check(spec, done, fixtures, gtboson, result)
     result.update({
-        "ops": len(done),
-        "failed": ok.count(False),
-        "op_kinds": [op[0] for op, _ in done],
-        "repeat_share": genops.repeat_share([op for op, _ in done]),
+        "ops": outputs.n,
+        "failed": sum(w for good, w in zip(ok, weights) if not good),
+        "op_kinds": outputs.op_kinds(),
+        "repeat_share": 1 - len(outputs.first) / outputs.n,
         "wall_ops": timeline.wall_ops,
         "cal_ops": timeline.cal_ops,
         "wall_total": timeline.wall_total,
         "cal_total": timeline.cal_total,
     })
     print(json.dumps(result))
+
+
+class Outputs:
+    """Outputs of the timed loop, kept for the checks that follow it.  A
+    repeated input keeps a count and only the outputs unequal to its first
+    one, so memory grows with distinct inputs and not with ops: the peak
+    RSS is read before the checks and is meant to be the program's."""
+
+    def __init__(self):
+        self.n = 0
+        self.first: dict[int, list] = {}   # id(op) -> [op, output, count]
+        self.odd: list[tuple] = []
+        self.kinds = array("B")
+        self.kind_ids: dict[str, int] = {}
+
+    def add(self, op, out) -> None:
+        self.n += 1
+        self.kinds.append(self.kind_ids.setdefault(op[0], len(self.kind_ids)))
+        e = self.first.get(id(op))
+        if e is None:
+            self.first[id(op)] = [op, out, 1]
+        elif e[1] is out or e[1] == out:
+            e[2] += 1
+        else:
+            self.odd.append((op, out))
+
+    def weighted(self) -> tuple[list, list[int]]:
+        """(op, output) pairs to check, and how many ops each stands for."""
+        firsts = list(self.first.values())
+        return ([(op, out) for op, out, _ in firsts] + self.odd,
+                [c for _, _, c in firsts] + [1] * len(self.odd))
+
+    def op_kinds(self) -> list[str]:
+        names = sorted(self.kind_ids, key=self.kind_ids.get)
+        return [names[k] for k in self.kinds]
 
 
 def _su2(tj: int, tm: int):
@@ -119,16 +159,12 @@ def _key(triple, pats, rho):
     return tuple(tuple(map(tuple, p)) for p in pats) + (rho,)
 
 
-def _entries(table) -> dict:
-    return {k: (v.q, v.r) for k, v in table.entries.items()}
-
-
 def check(spec, done, fixtures, g, result) -> list[bool]:
     """One verdict per op; an op that raised is a failure."""
     w = spec["workload"]
     if w == "su3-build":
         return [not isinstance(t, Exception) and not checks.table_problems(
-            op[1], _entries(t), t.rho_count) for op, t in done]
+            op[1], checks.table_entries(t), t.rho_count) for op, t in done]
     if w == "basis-u4":
         return _check_bases(done, g, result)
     return _check_queries(done, fixtures)
@@ -156,12 +192,10 @@ def _check_bases(done, g, result) -> list[bool]:
 def _check_queries(done, fixtures) -> list[bool]:
     """Wigner reads equal the fixture entry and, block by block, have unit
     norm; isoscalars factor the fixture entries; 3-j values equal sympy.
-    Fixture tables pass the full table check first.  A repeated input is
-    accepted when its output equals an output already verified."""
-    entries = {t: _entries(tb) for t, tb in fixtures.items()}
+    Fixture tables pass the full table check first."""
+    entries = {t: checks.table_entries(tb) for t, tb in fixtures.items()}
     good_table = {t: not checks.table_problems(t, e, fixtures[t].rho_count)
                   for t, e in entries.items()}
-    verified: dict = {}
     ok = []
     reads: dict = {}
     for i, (op, out) in enumerate(done):
@@ -169,14 +203,7 @@ def _check_queries(done, fixtures) -> list[bool]:
             ok.append(False)
             continue
         value = (out.q, out.r)
-        key = json.dumps(op)
-        if verified.get(key) == value:
-            ok.append(True)
-        else:
-            fine = _verify(op, value, entries, good_table)
-            if fine and key not in verified:
-                verified[key] = value
-            ok.append(fine)
+        ok.append(_verify(op, value, entries, good_table))
         if op[0] == "wigner":
             t = tuple(map(tuple, op[1]))
             reads.setdefault(t, {}).setdefault(_key(t, op[2], op[3]),
