@@ -7,6 +7,7 @@ __version__ = "0.1.0"
 from .gelfand import (
     BinaryWord,
     ComplementIsVacuum,
+    ConsistencyError,
     DomainError,
     GelfandPattern,
     IrrepLabel,

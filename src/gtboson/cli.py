@@ -5,7 +5,8 @@ Output is deterministic (canonical orderings everywhere) and exact: values
 are rendered as p/q*sqrt(a/b), JSON carries the same data structurally.
 
 Exit codes: 0 on success, 1 on domain rejection (invalid label or pattern,
-with the violated inequality named), 2 on usage errors.
+with the violated inequality named), 2 on usage errors, 3 when an internal
+consistency check fails (two routes disagree: a library fault).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .coupling import (
     su3_isoscalar,
 )
 from .gelfand import (
+    ConsistencyError,
     DomainError,
     GelfandPattern,
     IrrepLabel,
@@ -146,7 +148,9 @@ def _cmd_threej(args) -> str:
         pats.append(GelfandPattern([[int(tj), 0], [int(tj + tm) // 2]]))
     value = su2_threej(*pats)
     oracle = racah_threej_oracle(*(x for jm in zip(js, ms) for x in jm))
-    assert value == oracle
+    if value != oracle:
+        raise ConsistencyError(f"3-j value {value.text()} differs from the "
+                               f"Racah oracle {oracle.text()}")
     if args.format == "json":
         return _json_text({"j": [str(j) for j in js],
                            "m": [str(m) for m in ms],
@@ -297,6 +301,9 @@ def run(argv=None) -> int:
     except _SelftestFailure as exc:
         sys.stdout.write(str(exc))
         return 1
+    except ConsistencyError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return 3
     _emit(text, args.output)
     return 0
 

@@ -9,10 +9,19 @@ SU(3) Wigner coefficients with multiplicity come from the seven elementary
 three-slot invariants W1..W7.  A coupling is selected by a vector of seven
 non-negative exponents k, found by matching the per-slot degrees of the
 invariants against the slot labels; one free parameter survives and labels
-the multiplicity.  The invariant prod W_i^(k_i) is expanded as an honest
+the multiplicity.  The invariant W = prod W_i^(k_i) is expanded as an honest
 polynomial in the three slot matrices and paired, in the Fock inner product,
-against the orthonormal product basis; the resulting rho-family is Gram
-orthonormalized, yielding tables that are exactly unitary block by block.
+against every product b1 b2 b3 of the slots' unnormalized basis
+polynomials.  The pairing splits over disjoint slots,
+<b1 b2 b3, W> = sum_m c_m prod_s <b_s, m_s>, so no product is formed: each
+slot's basis is projected once onto its monomials (<b, u> is u's
+coefficient in b times the factorials of u's exponents), and each term of W
+is split into its three slot parts and contracted against those
+projections.  Basis and invariant coefficients are integers, so the
+pairings are accumulated as exact integers and divided by the basis norms
+only at the end; a non-integer coefficient raises ConsistencyError.  The
+resulting rho-family is Gram orthonormalized, yielding tables that are
+exactly unitary block by block.
 
 The invariants also have images in the generating-function parameter space;
 expanding those images and reading off pattern-monomial coefficients is
@@ -23,6 +32,7 @@ system, and both parameter-space routes are kept for cross-checking.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,6 +40,7 @@ from typing import Iterable, Sequence
 
 from .basisgen import _raw_basis
 from .gelfand import (
+    ConsistencyError,
     DomainError,
     GelfandPattern,
     IrrepLabel,
@@ -39,14 +50,13 @@ from .gelfand import (
     pattern_phi,
     patterns_of,
     require_valid,
-    weight,
     weyl_dimension,
 )
 from .polyengine import (
     ExactPoly,
     Monomial,
     SqrtRational,
-    bargmann_inner,
+    bargmann_inner,  # noqa: F401  unused here; bench/test_bench.py reads it
     minor,
     mono_from_map,
     mono_mul,
@@ -56,7 +66,6 @@ from .polyengine import (
 )
 
 __all__ = [
-    "CouplingKey",
     "CouplingTable",
     "InvariantSpec",
     "SU6Indices",
@@ -164,8 +173,9 @@ def su2_threej(pat1, pat2, pat3) -> SqrtRational:
 
 
 def _two(x) -> int:
-    f = Fraction(x).limit_denominator(2) if isinstance(x, float) else Fraction(x)
-    t = f * 2
+    """Twice a spin value, which must be an exact half-integer (a float is
+    taken at its exact binary value, never rounded)."""
+    t = Fraction(x) * 2
     if t.denominator != 1:
         raise DomainError(f"{x} is not a half-integer")
     return int(t)
@@ -340,17 +350,20 @@ def _k_family(labels) -> tuple[int, int, dict[int, tuple[int, ...]]]:
     return min(family), max(family), family
 
 
+def _rho_k(family: dict[int, tuple[int, ...]], rho: int) -> tuple[int, ...]:
+    """k-vector of multiplicity `rho` (1-based, by ascending k3)."""
+    if not (1 <= rho <= len(family)):
+        raise DomainError(f"rho must be in 1..{len(family)}")
+    return family[sorted(family)[rho - 1]]
+
+
 def triple_to_su6(labels, rho: int) -> SU6Indices:
     """Six-row pattern indices of the invariant selecting multiplicity `rho`
     (1-based, ordered by ascending k3) for the label triple."""
     k3min, k3max, family = _k_family(labels)
-    count = len(family)
-    if count == 0:
+    if not family:
         raise DomainError(f"labels {labels} do not couple")
-    if not (1 <= rho <= count):
-        raise DomainError(f"rho must be in 1..{count}")
-    k3 = sorted(family)[rho - 1]
-    k1, k2, _, k4, k5, k6, k7 = family[k3]
+    k1, k2, k3, k4, k5, k6, k7 = _rho_k(family, rho)
     h33 = k2
     h34 = k1 + k2
     h22 = k2 + k4
@@ -493,7 +506,7 @@ def index_solutions(slot_tables, p_exponents) -> list[tuple[int, ...]]:
     brute = index_solutions_bruteforce(slot_tables, p_exponents)
     closed = index_solutions_closed(slot_tables, p_exponents)
     if brute != closed:
-        raise AssertionError("index system routes disagree")
+        raise ConsistencyError("index system routes disagree")
     return brute
 
 
@@ -523,13 +536,6 @@ def _reduced_sum(k: Sequence[int], iv_list: Iterable[Sequence[int]]) -> Fraction
 # ---------------------------------------------------------------------------
 # Coupling tables.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CouplingKey:
-    labels: tuple[IrrepLabel, IrrepLabel, IrrepLabel]
-    patterns: tuple[GelfandPattern, GelfandPattern, GelfandPattern]
-    rho: int
 
 
 def _slot_exponent_table(p: GelfandPattern):
@@ -575,15 +581,15 @@ class CouplingTable:
         key = tuple(as_pattern(p).rows for p in patterns) + (rho,)
         return self.entries.get(key, SqrtRational.zero())
 
-    def lookup(self, key: "CouplingKey") -> SqrtRational:
-        return self.value(key.patterns, key.rho)
-
     def nonzero_keys(self) -> list[tuple]:
         return sorted(self.entries)
 
+    def _ordered(self) -> list[tuple[tuple, SqrtRational]]:
+        """Entries by rho, then third, first and second pattern."""
+        return sorted(self.entries.items(),
+                      key=lambda kv: (kv[0][3], kv[0][2], kv[0][0], kv[0][1]))
+
     def to_json(self) -> dict:
-        ordered = sorted(self.entries.items(),
-                         key=lambda kv: (kv[0][3], kv[0][2], kv[0][0], kv[0][1]))
         return {
             "labels": [list(l.h) for l in self.labels],
             "rho_count": self.rho_count,
@@ -594,7 +600,7 @@ class CouplingTable:
                                for rows in key[:3] ],
                  "rho": key[3],
                  "value": val.to_json()}
-                for key, val in ordered
+                for key, val in self._ordered()
             ],
         }
 
@@ -612,9 +618,7 @@ class CouplingTable:
 
     def to_csv(self) -> str:
         lines = ["pattern1,pattern2,pattern3,rho,value"]
-        ordered = sorted(self.entries.items(),
-                         key=lambda kv: (kv[0][3], kv[0][2], kv[0][0], kv[0][1]))
-        for key, val in ordered:
+        for key, val in self._ordered():
             pats = [";".join(",".join(str(v) for v in row) for row in rows)
                     for rows in key[:3]]
             lines.append(f"{pats[0]},{pats[1]},{pats[2]},{key[3]},{val.text()}")
@@ -642,14 +646,6 @@ def _w_invariants_z() -> tuple[ExactPoly, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _slot_basis(rows: tuple, slot: int) -> tuple[ExactPoly, Fraction]:
-    """Unnormalized basis polynomial of a pattern, retagged into a slot."""
-    poly, nsq = _raw_basis(rows)
-    retag = poly.map_variables(lambda v: (v[0], slot, v[2], v[3]))
-    return retag, nsq
-
-
 def _invariant_z(k: Sequence[int], labels) -> ExactPoly:
     """The invariant polynomial prod_s det(z_s)^(h33_s) * prod_i W_i^(k_i);
     the determinant powers carry the slot labels' trace content, which the
@@ -666,6 +662,66 @@ def _invariant_z(k: Sequence[int], labels) -> ExactPoly:
     return inv
 
 
+def _as_int(c: Fraction, what: str) -> int:
+    if c.denominator != 1:
+        raise ConsistencyError(f"{what} coefficient {c} is not an integer")
+    return c.numerator
+
+
+def _slot_projection(label: IrrepLabel, slot: int, scale: int):
+    """Bargmann projections of one slot's basis onto single monomials.
+
+    Maps each monomial u of the label's basis polynomials, tagged into
+    `slot`, to its (pattern index * scale, <b_p, u>) pairs, where
+    <b_p, u> = coef_{b_p}(u) * prod e! over u's exponents.  Also returns the
+    norms squared in pattern order.  Everything is an integer."""
+    proj: dict[Monomial, list[tuple[int, int]]] = {}
+    nsq = []
+    for i, p in enumerate(patterns_of(label)):
+        poly, n = _raw_basis(p.rows)
+        nsq.append(_as_int(n, "norm"))
+        for m, c in poly.terms.items():
+            v = _as_int(c, "basis")
+            for _, e in m:
+                v *= _fact(e)
+            u = tuple(((kind, slot, a, b), e) for (kind, _, a, b), e in m)
+            proj.setdefault(u, []).append((i * scale, v))
+    return proj, nsq
+
+
+# Bisection bounds: an invariant monomial has only z variables, sorted by
+# slot, so its slot-2 and slot-3 parts start where these would sort.
+_SLOT2, _SLOT3 = (("z", 2),), (("z", 3),)
+
+
+def _contract(inv: ExactPoly, projs) -> dict[int, int]:
+    """<b1 b2 b3, inv> for every pattern triple at once.
+
+    The pairing splits over disjoint slots, <b1 b2 b3, c m> =
+    c * prod_s <b_s, m_s>, so each invariant term c*m adds
+    c * v1 * v2 * v3 to every key whose slot projections hold m's parts.
+    Keys are the scaled pattern indices summed, i.e. (i3, i1, i2) in mixed
+    radix, so integer order is that tuple order."""
+    proj1, proj2, proj3 = projs
+    acc: dict[int, int] = {}
+    for m, c in inv.terms.items():
+        c = _as_int(c, "invariant")
+        a = bisect_left(m, _SLOT2)
+        b = bisect_left(m, _SLOT3, a)
+        l1 = proj1.get(m[:a])
+        l2 = proj2.get(m[a:b])
+        l3 = proj3.get(m[b:])
+        if l1 is None or l2 is None or l3 is None:
+            continue
+        for k1, v1 in l1:
+            for k2, v2 in l2:
+                k12, c12 = k1 + k2, c * v1 * v2
+                for k3, v3 in l3:
+                    key = k12 + k3
+                    acc[key] = acc.get(key, 0) + c12 * v3
+    return acc
+
+
 @lru_cache(maxsize=None)
 def _table_cached(h1: tuple, h2: tuple, h3: tuple) -> CouplingTable:
     labels = (IrrepLabel(h1), IrrepLabel(h2), IrrepLabel(h3))
@@ -674,42 +730,34 @@ def _table_cached(h1: tuple, h2: tuple, h3: tuple) -> CouplingTable:
     if not k3_values:
         return CouplingTable(labels, 0, (), (), {})
     pats = [patterns_of(l) for l in labels]
-    total = sum(sum(l.h) for l in labels)
-    target_w = (Fraction(total, 3),) * 3 if total % 3 == 0 else None
+    d12, d2 = len(pats[0]) * len(pats[1]), len(pats[1])
+    (proj1, n1), (proj2, n2), (proj3, n3) = (
+        _slot_projection(l, s, scale)
+        for s, (l, scale) in enumerate(zip(labels, (d2, 1, d12)), start=1))
 
-    # Enumerate weight-balanced keys once, with basis products and norms.
-    keys = []
-    for i3, p3 in enumerate(pats[2]):
-        for i1, p1 in enumerate(pats[0]):
-            for i2, p2 in enumerate(pats[1]):
-                trip = (p1, p2, p3)
-                if target_w is not None:
-                    ww = [weight(p) for p in trip]
-                    tot = tuple(sum(c) for c in zip(*ww))
-                    if tuple(Fraction(t) for t in tot) != target_w:
-                        continue
-                polys = [_slot_basis(p.rows, s + 1) for s, p in enumerate(trip)]
-                prod = polys[0][0] * polys[1][0] * polys[2][0]
-                g = polys[0][1] * polys[1][1] * polys[2][1]
-                keys.append(((i3, i1, i2), trip, prod, g))
-    keys.sort(key=lambda rec: rec[0])
+    def unpack(key: int) -> tuple[int, int, int]:
+        i3, rest = divmod(key, d12)
+        return (i3,) + divmod(rest, d2)
 
-    # Raw coefficient vectors per rho: Fock pairing of the invariant against
-    # the (unnormalized) product basis; dividing by the norm squared gives
-    # the coefficient relative to the orthonormal basis, up to sqrt(g).
+    # Raw coefficient vectors per rho: the exact integer pairing of the
+    # invariant with each unnormalized basis product, divided by the
+    # product's norm squared g, which gives the coefficient relative to the
+    # orthonormal basis up to sqrt(g).
+    gvals: dict[int, int] = {}
     raw: list[dict[int, Fraction]] = []
     for k3 in k3_values:
-        inv = _invariant_z(family[k3], labels)
+        pairings = _contract(_invariant_z(family[k3], labels),
+                             (proj1, proj2, proj3))
         vec = {}
-        for idx, (okey, trip, prod, g) in enumerate(keys):
-            c = bargmann_inner(prod, inv)
-            if c:
-                vec[idx] = c / g
+        for key in sorted(pairings):
+            if pairings[key]:
+                if key not in gvals:
+                    i3, i1, i2 = unpack(key)
+                    gvals[key] = n1[i1] * n2[i2] * n3[i3]
+                vec[key] = Fraction(pairings[key], gvals[key])
         raw.append(vec)
 
     # Gram-Schmidt over rho with the key-radicand metric.
-    gvals = [rec[3] for rec in keys]
-
     def dot(u: dict[int, Fraction], v: dict[int, Fraction]) -> Fraction:
         return sum((u[i] * v[i] * gvals[i] for i in u.keys() & v.keys()),
                    Fraction(0))
@@ -726,7 +774,7 @@ def _table_cached(h1: tuple, h2: tuple, h3: tuple) -> CouplingTable:
                 cur = {i: v for i, v in cur.items() if v}
         n = dot(cur, cur)
         if n == 0:
-            raise AssertionError("degenerate multiplicity family")
+            raise ConsistencyError("degenerate multiplicity family")
         ortho.append(cur)
         norms.append(n)
 
@@ -734,14 +782,15 @@ def _table_cached(h1: tuple, h2: tuple, h3: tuple) -> CouplingTable:
     d3 = weyl_dimension(labels[2])
     entries: dict[tuple, SqrtRational] = {}
     for rho0, (vec, n) in enumerate(zip(ortho, norms)):
-        # sign: first nonzero key in canonical order is positive
+        # sign: first nonzero key in (i3, i1, i2) order is positive
         first = min(vec)
         sign = 1 if vec[first] > 0 else -1
         for idx, t in vec.items():
-            _, trip, _, g = keys[idx]
-            val = SqrtRational(sign * t, g * d3 / n)
+            val = SqrtRational(sign * t, gvals[idx] * d3 / n)
             if not val.is_zero():
-                key = tuple(p.rows for p in trip) + (rho0 + 1,)
+                i3, i1, i2 = unpack(idx)
+                key = (pats[0][i1].rows, pats[1][i2].rows, pats[2][i3].rows,
+                       rho0 + 1)
                 entries[key] = val
     return CouplingTable(labels, len(k3_values), k3_values,
                          tuple(family[k3] for k3 in k3_values), entries)
@@ -772,8 +821,7 @@ def su3_wigner_secondary(labels, patterns, rho: int = 1) -> Fraction:
     k3min, k3max, family = _k_family(labels)
     if not family:
         return Fraction(0)
-    k3 = sorted(family)[rho - 1]
-    k = family[k3]
+    k = _rho_k(family, rho)
     slot_tables = tuple(_slot_exponent_table(p) for p in pats)
     p_exp = _p_exponents(pats)
     if min(p_exp) < 0:
@@ -808,8 +856,7 @@ def su3_wigner_generating(labels, patterns, rho: int = 1) -> Fraction:
     k3min, k3max, family = _k_family(labels)
     if not family:
         return Fraction(0)
-    k3 = sorted(family)[rho - 1]
-    k = family[k3]
+    k = _rho_k(family, rho)
     ws = w_invariants()
     inv = ExactPoly.const(1)
     for w, e in zip(ws, k):
@@ -850,7 +897,7 @@ def su3_isoscalar(labels, su2_rows, rho: int = 1) -> SqrtRational:
     first = ratios[0]
     for r in ratios[1:]:
         if r != first:
-            raise AssertionError("isoscalar ratio depends on the bottom row")
+            raise ConsistencyError("isoscalar ratio depends on the bottom row")
     return first
 
 

@@ -23,6 +23,7 @@ from .polyengine import Monomial, mono_from_map, xvar, yvar
 __all__ = [
     "StructureError",
     "DomainError",
+    "ConsistencyError",
     "ComplementIsVacuum",
     "IrrepLabel",
     "GelfandPattern",
@@ -51,6 +52,11 @@ class StructureError(ValueError):
 
 class DomainError(ValueError):
     """Structurally sound input that violates a domain inequality."""
+
+
+class ConsistencyError(Exception):
+    """Two routes, or a route and its own invariant, disagree: a fault in
+    the library, not in its input (deliberately not a ValueError)."""
 
 
 class ComplementIsVacuum(ValueError):

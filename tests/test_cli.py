@@ -76,6 +76,18 @@ def test_isoscalar(capsys):
     assert code == 0 and out == "2/1*sqrt(1/6)\n"
 
 
+def test_internal_disagreement_exits_3(capsys, monkeypatch):
+    from gtboson.polyengine import SqrtRational
+
+    monkeypatch.setattr(cli, "racah_threej_oracle",
+                        lambda *a: SqrtRational(2))
+    code, out, err = run_cli(capsys, "threej", "--j", "0.5,0.5,0",
+                             "--m", "0.5,-0.5,0")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_invalid_label_names_inequality(capsys):
     code, _, err = run_cli(capsys, "dim", "--group", "u3", "--label", "1,2,0")
     assert code == 1 and "non-increasing" in err

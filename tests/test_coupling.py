@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -24,7 +25,9 @@ from gtboson.coupling import (
     w_invariants,
     xi_invariant,
 )
+from gtboson import coupling
 from gtboson.gelfand import (
+    ConsistencyError,
     DomainError,
     GelfandPattern,
     IrrepLabel,
@@ -74,6 +77,16 @@ class TestRacahOracle:
 
     def test_odd_symmetric_zero(self):
         assert racah_threej_oracle(1, 0, 1, 0, 1, 0).is_zero()
+
+    def test_exact_half_integer_float_accepted(self):
+        assert racah_threej_oracle(0.5, 0.5, 0.5, -0.5, 0, 0) == \
+            racah_threej_oracle(Fraction(1, 2), Fraction(1, 2),
+                                Fraction(1, 2), Fraction(-1, 2), 0, 0)
+
+    def test_non_half_integer_float_rejected(self):
+        # 0.3 used to be rounded to 1/2 and answered
+        with pytest.raises(DomainError):
+            racah_threej_oracle(0.3, 0.5, 0.5, -0.5, 0, 0)
 
 
 class TestSu2ThreeJ:
@@ -204,6 +217,13 @@ class TestIndexSolutions:
             assert index_solutions_bruteforce(tables, p) == \
                 index_solutions_closed(tables, p)
 
+    def test_route_disagreement_is_a_consistency_error(self, monkeypatch):
+        monkeypatch.setattr(coupling, "index_solutions_closed",
+                            lambda *a: [(1,) * 15])
+        with pytest.raises(ConsistencyError) as exc:
+            index_solutions(((0, 0, 0, 0),) * 3, (0, 0, 0))
+        assert not isinstance(exc.value, ValueError)
+
     def test_pair_sums_give_k(self):
         tables = octet_slot_tables()
         sols = index_solutions(tables, (1, 1, 1))
@@ -254,6 +274,18 @@ class TestCouplingTables:
             assert su3_wigner_generating(labels, (p1, p2, p3)) == \
                 su3_wigner_secondary(labels, (p1, p2, p3))
 
+    @pytest.mark.parametrize("route", [su3_wigner_secondary,
+                                       su3_wigner_generating])
+    @pytest.mark.parametrize("rho", [0, 3])
+    def test_parameter_routes_reject_rho_out_of_range(self, route, rho):
+        # 8 x 8 -> 8 has rho in 1..2; rho = 0 used to read rho = 2
+        labels = ((2, 1, 0),) * 3
+        pats = (GelfandPattern([[2, 1, 0], [2, 1], [2]]),
+                GelfandPattern([[2, 1, 0], [1, 0], [0]]),
+                GelfandPattern([[2, 1, 0], [2, 0], [1]]))
+        with pytest.raises(DomainError, match=r"rho must be in 1\.\.2"):
+            route(labels, pats, rho)
+
     def test_json_round_trip(self):
         table = coupling_table(((1, 0, 0), (1, 1, 0), (1, 1, 1)))
         back = CouplingTable.from_json(table.to_json())
@@ -264,6 +296,58 @@ class TestCouplingTables:
         t1 = coupling_table(((1, 0, 0), (1, 0, 0), (1, 0, 0))).to_csv()
         t2 = coupling_table(((1, 0, 0), (1, 0, 0), (1, 0, 0))).to_csv()
         assert t1 == t2 and t1.startswith("pattern1,pattern2,pattern3,rho,value")
+
+
+# sha256 of to_csv(), recorded with the triple-product construction that the
+# per-slot contraction replaced; any change to a value, key or order shows.
+PINNED_CSV_SHA256 = {
+    ((2, 1, 0), (2, 1, 0), (2, 1, 0)):
+        "cb2e4ee89a33f81f145d1badc01e5b7e8b2c6bdd91067d0e29beefb290358cfe",
+    ((4, 2, 0), (2, 1, 0), (4, 2, 0)):
+        "e700d9164cdcae9992e7c327e5293172b0302ff012c93f5d9c56f2a4dfb92211",
+    ((4, 2, 0), (4, 2, 0), (4, 2, 0)):
+        "3acd57e331f94c9915372258cb9fe2378990b23a1078bea34f7369d29ed421a6",
+}
+
+
+class TestPinnedTables:
+    @pytest.mark.parametrize("labels", list(PINNED_CSV_SHA256))
+    def test_csv_digest(self, labels):
+        csv = coupling_table(labels).to_csv()
+        assert hashlib.sha256(csv.encode()).hexdigest() == \
+            PINNED_CSV_SHA256[labels]
+
+    def test_non_integer_basis_coefficient_is_refused(self, monkeypatch):
+        raw = coupling._raw_basis
+        monkeypatch.setattr(coupling, "_raw_basis",
+                            lambda rows: (raw(rows)[0] * Fraction(1, 2),
+                                          raw(rows)[1]))
+        with pytest.raises(ConsistencyError, match="not an integer"):
+            # uncached, so the patched basis is used
+            coupling._table_cached.__wrapped__((1, 0, 0), (1, 1, 0),
+                                               (1, 1, 1))
+
+    def test_27x27_to_27_block_unitary(self):
+        labels = ((4, 2, 0),) * 3
+        table = coupling_table(labels)
+        assert table.rho_count == 3
+        blocks: dict = {}
+        for (r1, r2, r3, rho), val in table.entries.items():
+            blocks.setdefault((rho, r3), {})[(r1, r2)] = val
+        assert len(blocks) == 3 * 27
+        items = sorted(blocks.items())
+        for a, (bkey, block) in enumerate(items):
+            for ckey, other in items[a:]:
+                # sum of q*sqrt(1/m) terms, grouped by square-free m: zero
+                # only if every group is
+                acc: dict = {}
+                for pq, val in block.items():
+                    if pq in other:
+                        prod = val * other[pq]
+                        acc[prod.r] = acc.get(prod.r, Fraction(0)) + prod.q
+                acc = {r: q for r, q in acc.items() if q}
+                expect = {Fraction(1): Fraction(1)} if bkey == ckey else {}
+                assert acc == expect, (bkey, ckey)
 
 
 class TestIsoscalars:
@@ -290,6 +374,13 @@ class TestIsoscalars:
         labels = ((2, 1, 0), (2, 1, 0), (2, 1, 0))
         with pytest.raises(IsoscalarUndefined):
             su3_isoscalar(labels, ((2, 1), (2, 1), (1, 0)), 1)
+
+    def test_bottom_row_dependence_is_a_consistency_error(self, monkeypatch):
+        calls = iter(range(1, 100))
+        monkeypatch.setattr(coupling, "su2_threej",
+                            lambda *p: SqrtRational(next(calls)))
+        with pytest.raises(ConsistencyError):
+            su3_isoscalar(((2, 1, 0),) * 3, ((2, 0), (2, 0), (2, 0)), 1)
 
     def test_invalid_row_rejected(self):
         with pytest.raises(DomainError):
