@@ -54,10 +54,8 @@ from .coupling import (
     CouplingTable,
     IsoscalarUndefined,
     coupling_table,
-    racah_threej_oracle,
     su2_threej,
     su3_isoscalar,
     su3_wigner,
-    w_invariants,
     xi_invariant,
 )

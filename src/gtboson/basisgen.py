@@ -13,11 +13,11 @@ the SqrtRational values handed to callers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 from .gelfand import (
     DomainError,
@@ -29,12 +29,10 @@ from .gelfand import (
     lr_exponents,
     pattern_phi,
     require_valid,
-    semimax_pattern,
 )
 from .polyengine import (
     ExactPoly,
     GaussianRational,
-    Monomial,
     SqrtRational,
     bargmann_inner,
     minor,
@@ -44,27 +42,20 @@ from .polyengine import (
 
 __all__ = [
     "BasisPolynomial",
-    "NormConstants",
     "const_A",
     "const_branching_ratio",
     "branching_kernel",
     "basis_from_branching",
     "u2_basis_closed",
     "u3_basis_closed",
-    "u3_basis_hypergeometric",
     "u4_basis_closed",
     "norm_sq_u2",
     "norm_sq_u3",
-    "norm_sq_u3_hypergeometric",
     "norm_sq_semimax",
     "norm_sq_max",
     "p_n_1",
-    "p_n_1_oracle",
     "DSemimaxValue",
     "d_semimax_eval",
-    "u4_free_index_count",
-    "kernel_phi_support",
-    "norm_constants",
 ]
 
 _fact = math.factorial
@@ -207,23 +198,6 @@ def norm_sq_u3(pattern) -> Fraction:
             / norm_sq_u2(p.lower()))
 
 
-def norm_sq_u3_hypergeometric(pattern) -> Fraction:
-    """Norm squared of the hypergeometric-form U(3) polynomial (whose leading
-    series coefficient is one); defined on that form's domain, h33 = 0 and
-    h11 >= h23.  Differs from norm_sq_u3 by the square of the binomial
-    relating the two leading coefficients."""
-    p = require_valid(as_pattern(pattern))
-    if p.n != 3:
-        raise DomainError("requires a U(3) pattern")
-    h13, h23, h33 = p.row(3)
-    h12, _h22 = p.row(2)
-    h11 = p.row(1)[0]
-    if h33 != 0 or h11 < h23:
-        raise DomainError("hypergeometric norm requires h33 = 0 and h11 >= h23")
-    scale = math.comb(h12 - h23, h11 - h23)
-    return norm_sq_u3(p) / (scale * scale)
-
-
 # ---------------------------------------------------------------------------
 # Branching kernel and the generic basis construction.
 # ---------------------------------------------------------------------------
@@ -235,44 +209,45 @@ def _prefixes(n: int) -> list[tuple[int, ...]]:
             for i in range(2 ** (n - 1))]
 
 
-def _phi_of_bits(bits: Sequence[int], slot: int) -> Monomial:
-    return _phi_bits(bits, slot)
+def _upper_minors(n: int) -> dict[tuple[int, ...], ExactPoly]:
+    """The minors of symbolic_matrix(n) on rows 1..k, for every non-empty
+    set of k columns, keyed by that column tuple."""
+    z = symbolic_matrix(n)
+    return {cols: minor(z, tuple(range(1, len(cols) + 1)), cols)
+            for k in range(1, n + 1)
+            for cols in itertools.combinations(range(1, n + 1), k)}
 
 
-def _kernel_groups(n: int, z_mat, slot: int):
+def _kernel_groups(n: int):
     """Coefficient groups of the level-n parameters in the generating
     function.  Group X(k) collects words ending in a one with popcount k,
     Y(k) words ending in a zero with popcount k; each word contributes its
     rows-1..k minor times its parameter monomial at levels below n."""
+    minors = _upper_minors(n)
     groups_x: dict[int, ExactPoly] = {k: ExactPoly() for k in range(1, n + 1)}
     groups_y: dict[int, ExactPoly] = {k: ExactPoly() for k in range(1, n)}
     for prefix in _prefixes(n):
-        phi = _phi_of_bits(prefix, slot)
-        pc = sum(prefix)
+        phi = ExactPoly.monomial(_phi_bits(prefix, 0))
+        ones = tuple(i + 1 for i, b in enumerate(prefix) if b)
+        pc = len(ones)
         # word = prefix + (1,): minor on columns of ones incl. column n
-        cols = tuple(i + 1 for i, b in enumerate(prefix) if b) + (n,)
-        m = minor(z_mat, tuple(range(1, pc + 2)), cols)
-        groups_x[pc + 1] = groups_x[pc + 1] + m * ExactPoly.monomial(phi)
+        groups_x[pc + 1] = groups_x[pc + 1] + minors[ones + (n,)] * phi
         if pc >= 1:
-            cols0 = tuple(i + 1 for i, b in enumerate(prefix) if b)
-            m0 = minor(z_mat, tuple(range(1, pc + 1)), cols0)
-            groups_y[pc] = groups_y[pc] + m0 * ExactPoly.monomial(phi)
+            groups_y[pc] = groups_y[pc] + minors[ones] * phi
     return groups_x, groups_y
 
 
-def branching_kernel(label, branch, z_mat=None, slot: int = 0) -> ExactPoly:
+def branching_kernel(label, branch) -> ExactPoly:
     """Branching kernel of U(n) over U(n-1) for a label pair: the product
     of the X groups to the drop exponents L_k = h_{k,n} - h_{k,n-1} (with
     L_n = h_{nn}) and the Y groups to the interleaving exponents
     R_k = h_{k,n-1} - h_{k+1,n}, as a polynomial in the z entries and the
-    level <= n-1 parameters x(.,.), y(.,.) tagged with `slot`."""
+    level <= n-1 parameters x(.,.), y(.,.)."""
     label = as_label(label)
     branch = as_label(branch)
     _check_branching(label, branch)
     n = label.n
-    if z_mat is None:
-        z_mat = symbolic_matrix(n, slot)
-    gx, gy = _kernel_groups(n, z_mat, slot)
+    gx, gy = _kernel_groups(n)
     out = ExactPoly.const(1)
     for k in range(1, n):
         lk = label.h[k - 1] - branch.h[k - 1]
@@ -331,10 +306,8 @@ def u2_basis_closed(pattern) -> BasisPolynomial:
         raise DomainError("u2_basis_closed requires a U(2) pattern")
     h12, h22 = p.row(2)
     h11 = p.row(1)[0]
-    z = symbolic_matrix(2)
-    poly = (minor(z, (1,), (1,)) ** (h11 - h22)
-            * minor(z, (1,), (2,)) ** (h12 - h11)
-            * minor(z, (1, 2), (1, 2)) ** h22)
+    d = _upper_minors(2)
+    poly = d[(1,)] ** (h11 - h22) * d[(2,)] ** (h12 - h11) * d[1, 2] ** h22
     return _sign_fixed(p, poly, bargmann_inner(poly, poly))
 
 
@@ -348,56 +321,18 @@ def u3_basis_closed(pattern) -> BasisPolynomial:
     h13, h23, h33 = p.row(3)
     h12, h22 = p.row(2)
     h11 = p.row(1)[0]
-    z = symbolic_matrix(3)
-    d1 = minor(z, (1,), (1,))
-    d2 = minor(z, (1,), (2,))
-    d3 = minor(z, (1,), (3,))
-    d12 = minor(z, (1, 2), (1, 2))
-    d13 = minor(z, (1, 2), (1, 3))
-    d23 = minor(z, (1, 2), (2, 3))
-    d123 = minor(z, (1, 2, 3), (1, 2, 3))
+    d = _upper_minors(3)
     r31, l32 = h12 - h23, h23 - h22
-    fixed = d3 ** (h13 - h12) * d12 ** (h22 - h33) * d123 ** h33
+    fixed = d[(3,)] ** (h13 - h12) * d[1, 2] ** (h22 - h33) * d[1, 2, 3] ** h33
     acc = ExactPoly()
     for i in range(0, min(r31, h11 - h22) + 1):
         j = h11 - h22 - i
         if not 0 <= j <= l32:
             continue
         c = math.comb(r31, i) * math.comb(l32, j)
-        acc = acc + c * (d1 ** i * d2 ** (r31 - i) * d13 ** j * d23 ** (l32 - j))
+        acc = acc + c * (d[(1,)] ** i * d[(2,)] ** (r31 - i)
+                         * d[1, 3] ** j * d[2, 3] ** (l32 - j))
     poly = acc * fixed
-    return _sign_fixed(p, poly, bargmann_inner(poly, poly))
-
-
-def u3_basis_hypergeometric(pattern) -> BasisPolynomial:
-    """U(3) basis via the terminating 2F1 form, valid for h33 = 0 and
-    h11 >= h23; other patterns are outside this form's domain."""
-    p = require_valid(as_pattern(pattern))
-    if p.n != 3:
-        raise DomainError("u3_basis_hypergeometric requires a U(3) pattern")
-    h13, h23, h33 = p.row(3)
-    h12, h22 = p.row(2)
-    h11 = p.row(1)[0]
-    if h33 != 0 or h11 < h23:
-        raise DomainError("hypergeometric form requires h33 = 0 and h11 >= h23")
-    z = symbolic_matrix(3)
-    d1 = minor(z, (1,), (1,))
-    d2 = minor(z, (1,), (2,))
-    d3 = minor(z, (1,), (3,))
-    d12 = minor(z, (1, 2), (1, 2))
-    d13 = minor(z, (1, 2), (1, 3))
-    d23 = minor(z, (1, 2), (2, 3))
-    a, b, c = h22 - h23, h11 - h12, h11 - h23 + 1
-    kmax = min(h23 - h22, h12 - h11)
-    acc = ExactPoly()
-    coeff = Fraction(1)
-    for k in range(kmax + 1):
-        if k:
-            coeff *= Fraction((a + k - 1) * (b + k - 1), (c + k - 1) * k)
-        term = (d1 ** (h11 - h23 + k) * d2 ** (h12 - h11 - k)
-                * d13 ** (h23 - h22 - k) * d23 ** k)
-        acc = acc + coeff * term
-    poly = acc * (d12 ** h22 * d3 ** (h13 - h12))
     return _sign_fixed(p, poly, bargmann_inner(poly, poly))
 
 
@@ -428,18 +363,8 @@ def u4_basis_closed(pattern) -> BasisPolynomial:
     r31, l31 = lr.R[(3, 1)], lr.L[(3, 1)]
     l32, r32 = lr.L[(3, 2)], lr.R[(3, 2)]
     r21, l21 = lr.R[(2, 1)], lr.L[(2, 1)]
-    z = symbolic_matrix(4)
-    dm = {
-        "1": minor(z, (1,), (1,)), "2": minor(z, (1,), (2,)),
-        "3": minor(z, (1,), (3,)), "4": minor(z, (1,), (4,)),
-        "12": minor(z, (1, 2), (1, 2)), "13": minor(z, (1, 2), (1, 3)),
-        "23": minor(z, (1, 2), (2, 3)), "14": minor(z, (1, 2), (1, 4)),
-        "24": minor(z, (1, 2), (2, 4)), "34": minor(z, (1, 2), (3, 4)),
-        "123": minor(z, (1, 2, 3), (1, 2, 3)), "124": minor(z, (1, 2, 3), (1, 2, 4)),
-        "134": minor(z, (1, 2, 3), (1, 3, 4)), "234": minor(z, (1, 2, 3), (2, 3, 4)),
-        "1234": minor(z, (1, 2, 3, 4), (1, 2, 3, 4)),
-    }
-    fixed = dm["4"] ** l4[0] * dm["123"] ** r4[2] * dm["1234"] ** l4[3]
+    dm = _upper_minors(4)
+    fixed = dm[(4,)] ** l4[0] * dm[1, 2, 3] ** r4[2] * dm[1, 2, 3, 4] ** l4[3]
     acc = ExactPoly()
     for a in range(r4[0] + 1):
         for c in range(r4[0] - a + 1):
@@ -465,12 +390,13 @@ def u4_basis_closed(pattern) -> BasisPolynomial:
                             continue
                         if (g + h) + (j + k) != l32:
                             continue
-                        coeff = (_multinom(r4[0], a, b, c) * _multinom(l4[1], d, e, f)
-                                 * _multinom(r4[1], g, h, i) * _multinom(l4[2], j, k, l))
-                        term = (dm["1"] ** a * dm["2"] ** b * dm["3"] ** c
-                                * dm["14"] ** d * dm["24"] ** e * dm["34"] ** f
-                                * dm["13"] ** g * dm["23"] ** h * dm["12"] ** i
-                                * dm["134"] ** j * dm["234"] ** k * dm["124"] ** l)
+                        coeff = (_multinom(a, b, c) * _multinom(d, e, f)
+                                 * _multinom(g, h, i) * _multinom(j, k, l))
+                        term = (dm[(1,)] ** a * dm[(2,)] ** b * dm[(3,)] ** c
+                                * dm[1, 4] ** d * dm[2, 4] ** e * dm[3, 4] ** f
+                                * dm[1, 3] ** g * dm[2, 3] ** h * dm[1, 2] ** i
+                                * dm[1, 3, 4] ** j * dm[2, 3, 4] ** k
+                                * dm[1, 2, 4] ** l)
                         acc = acc + coeff * term
     poly = acc * fixed
     if poly.is_zero():
@@ -478,52 +404,12 @@ def u4_basis_closed(pattern) -> BasisPolynomial:
     return _sign_fixed(p, poly, bargmann_inner(poly, poly))
 
 
-def _multinom(total: int, *parts: int) -> int:
-    assert sum(parts) == total
-    out = _fact(total)
+def _multinom(*parts: int) -> int:
+    """Multinomial coefficient (sum of parts)! / prod(part!)."""
+    out = _fact(sum(parts))
     for q in parts:
         out //= _fact(q)
     return out
-
-
-def u4_free_index_count(pattern) -> int:
-    """Number of free indices left by the U(4) constraint system: twelve
-    trinomial indices minus the rank of the ten linear constraints (four
-    group totals and six parameter-matching equations), computed exactly."""
-    p = require_valid(as_pattern(pattern))
-    if p.n != 4:
-        raise DomainError("u4_free_index_count requires a U(4) pattern")
-    # Unknowns a..l in order; build constraint matrix rows.
-    rows = [
-        [1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],  # a+b+c
-        [0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0],  # d+e+f
-        [0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0],  # g+h+i
-        [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1],  # j+k+l
-        [1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0],  # y(3,1)
-        [0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0],  # x(3,1)
-        [0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1, 0],  # x(3,2)
-        [0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1],  # y(3,2)
-        [1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0],  # y(2,1)
-        [0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0],  # x(2,1)
-    ]
-    mat = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
-    col = 0
-    while rank < len(mat) and col < 12:
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [v * inv for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [v - f * w for v, w in zip(mat[r], mat[rank])]
-        rank += 1
-        col += 1
-    return 12 - rank
 
 
 # ---------------------------------------------------------------------------
@@ -559,43 +445,6 @@ def p_n_1(pattern) -> int:
     raise DomainError("p_n_1 is defined for n in {3, 4, 5}")
 
 
-def _mirror_groups(n: int, slot: int = 0):
-    """Parameter mirrors of the kernel groups: the z-minor of each word is
-    replaced by 1, leaving the sum of prefix parameter monomials per group."""
-    sx: dict[int, ExactPoly] = {k: ExactPoly() for k in range(1, n + 1)}
-    sy: dict[int, ExactPoly] = {k: ExactPoly() for k in range(1, n)}
-    for prefix in _prefixes(n):
-        phi = ExactPoly.monomial(_phi_of_bits(prefix, slot))
-        pc = sum(prefix)
-        sx[pc + 1] = sx[pc + 1] + phi
-        if pc >= 1:
-            sy[pc] = sy[pc] + phi
-    return sx, sy
-
-
-def p_n_1_oracle(pattern) -> int:
-    """Brute-force evaluation factor: expand the parameter mirror of the
-    branching kernel and extract the lower pattern's monomial."""
-    p = require_valid(as_pattern(pattern))
-    n = p.n
-    if n < 3:
-        raise DomainError("oracle defined for n >= 3")
-    sx, sy = _mirror_groups(n)
-    label = as_label(p.top)
-    branch = as_label(p.row(n - 1))
-    out = ExactPoly.const(1)
-    for k in range(1, n):
-        lk = label.h[k - 1] - branch.h[k - 1]
-        rk = branch.h[k - 1] - label.h[k]
-        out = out * sx[k] ** lk * sy[k] ** rk
-    # The X(n) mirror is 1 (the all-ones prefix), so the determinant power
-    # contributes nothing.
-    target = pattern_phi(p.lower())
-    val = out.coefficient(target)
-    assert val.denominator == 1
-    return int(val)
-
-
 # ---------------------------------------------------------------------------
 # Semi-maximal matrix-element evaluation on exact complex rational matrices.
 # ---------------------------------------------------------------------------
@@ -608,18 +457,6 @@ class DSemimaxValue:
 
     re: SqrtRational
     im: SqrtRational
-
-
-def _gminor(mat: list[list[GaussianRational]], rows, cols) -> GaussianRational:
-    if len(rows) == 1:
-        return mat[rows[0] - 1][cols[0] - 1]
-    acc = GaussianRational(Fraction(0))
-    r = rows[0]
-    for j, c in enumerate(cols):
-        sub = _gminor(mat, rows[1:], cols[:j] + cols[j + 1:])
-        term = mat[r - 1][c - 1] * sub
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
 
 
 def d_semimax_eval(label, branch, U) -> DSemimaxValue:
@@ -645,61 +482,12 @@ def d_semimax_eval(label, branch, U) -> DSemimaxValue:
     for k in range(1, n):
         rk = branch.h[k - 1] - label.h[k]
         if rk:
-            val = val * _gminor(mat, tuple(range(1, k + 1)),
-                                tuple(range(1, k + 1))) ** rk
+            val = val * minor(mat, tuple(range(1, k + 1)),
+                              tuple(range(1, k + 1))) ** rk
     for k in range(1, n + 1):
         lk = (label.h[k - 1] - branch.h[k - 1]) if k < n else label.h[n - 1]
         if lk:
             cols = tuple(range(1, k)) + (n,)
-            val = val * _gminor(mat, tuple(range(1, k + 1)), cols) ** lk
+            val = val * minor(mat, tuple(range(1, k + 1)), cols) ** lk
     scale = SqrtRational.sqrt(norm_sq_max(label) / norm_sq_semimax(label, branch))
     return DSemimaxValue(re=scale * val.re, im=scale * val.im)
-
-
-# ---------------------------------------------------------------------------
-# Convenience record of the normalization constants for a label pair.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NormConstants:
-    A_n: Fraction
-    A_ratio: Fraction
-    N_semimax: SqrtRational
-    N2: SqrtRational | None
-    N3: SqrtRational | None
-
-
-def norm_constants(label, branch) -> NormConstants:
-    """Normalization constants attached to a branching pair.  N2/N3 are the
-    normalizers of the semi-maximal pattern where the closed norm formulas
-    apply (N3 requires h33 = 0 and h11 >= h23), else None."""
-    label = as_label(label)
-    branch = as_label(branch)
-    sm = semimax_pattern(label, branch)
-    n2 = n3 = None
-    if label.n == 2:
-        n2 = SqrtRational.sqrt(1 / norm_sq_u2(sm))
-    if label.n == 3:
-        try:
-            n3 = SqrtRational.sqrt(1 / norm_sq_u3(sm))
-        except DomainError:
-            n3 = None
-    return NormConstants(
-        A_n=const_A(label),
-        A_ratio=const_branching_ratio(label, branch),
-        N_semimax=SqrtRational.sqrt(norm_sq_semimax(label, branch)),
-        N2=n2,
-        N3=n3,
-    )
-
-
-def kernel_phi_support(label, branch) -> set[Monomial]:
-    """Set of parameter monomials occurring in the branching kernel; equals
-    {pattern_phi(p) for p in patterns of the branch label} when the kernel is
-    complete."""
-    kernel = _kernel_cached(as_label(label).h, as_label(branch).h)
-    out: set[Monomial] = set()
-    for m in kernel.terms:
-        out.add(tuple((v, e) for v, e in m if _is_param(v)))
-    return out

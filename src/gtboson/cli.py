@@ -5,8 +5,9 @@ Output is deterministic (canonical orderings everywhere) and exact: values
 are rendered as p/q*sqrt(a/b), JSON carries the same data structurally.
 
 Exit codes: 0 on success, 1 on domain rejection (invalid label or pattern,
-with the violated inequality named), 2 on usage errors, 3 when an internal
-consistency check fails (two routes disagree: a library fault).
+with the violated inequality named), 2 on usage errors (malformed numbers,
+config values outside their choices, an unwritable output file), 3 when an
+internal consistency check fails (two routes disagree: a library fault).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .basisgen import basis_from_branching, p_n_1
 from .coupling import (
     IsoscalarUndefined,
     coupling_table,
-    racah_threej_oracle,
     su2_threej,
     su3_isoscalar,
 )
@@ -33,15 +33,30 @@ from .gelfand import (
     IrrepLabel,
     StructureError,
     enumerate_patterns,
+    validate_pattern,
     weyl_dimension,
 )
+from .oracles import racah_threej_oracle
 from .selftest import SUITES, run_all
 
 _GROUPS = {"u1": 1, "u2": 2, "u3": 3, "u4": 4, "u5": 5}
+_FORMATS = ("json", "csv", "text")
+
+
+class _UsageError(Exception):
+    """Malformed input text, config value or output path (exit code 2)."""
+
+
+def _numbers(text: str, kind=int) -> list:
+    """Comma-separated numbers; malformed text is a usage error."""
+    try:
+        return [kind(v) for v in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise _UsageError(f"malformed number list {text!r}") from None
 
 
 def _parse_label(text: str, group: str | None = None) -> IrrepLabel:
-    label = IrrepLabel([int(v) for v in text.split(",")])
+    label = IrrepLabel(_numbers(text))
     if group is not None and label.n != _GROUPS[group]:
         raise DomainError(f"label {text} has {label.n} entries, expected "
                           f"{_GROUPS[group]} for {group}")
@@ -49,16 +64,10 @@ def _parse_label(text: str, group: str | None = None) -> IrrepLabel:
 
 
 def _parse_pattern(text: str) -> GelfandPattern:
-    rows = [[int(v) for v in row.split(",")] for row in text.split(";")]
-    p = GelfandPattern(rows)
-    from .gelfand import validate_pattern
+    p = GelfandPattern([_numbers(row) for row in text.split(";")])
     if not validate_pattern(p):
         raise DomainError(f"pattern {text} violates betweenness")
     return p
-
-
-def _parse_halfints(text: str) -> list[Fraction]:
-    return [Fraction(v) for v in text.split(",")]
 
 
 def _load_config(path: str | None) -> dict[str, str]:
@@ -73,6 +82,10 @@ def _load_config(path: str | None) -> dict[str, str]:
                     continue
                 key, _, value = line.partition("=")
                 conf[key.strip()] = value.strip()
+    for key, choices in (("group", sorted(_GROUPS)), ("format", _FORMATS)):
+        if key in conf and conf[key] not in choices:
+            raise _UsageError(f"config {key}={conf[key]} is not one of "
+                              f"{', '.join(choices)}")
     return conf
 
 
@@ -81,8 +94,11 @@ def _emit(text: str, path: str | None) -> None:
         outdir = os.environ.get("GTBOSON_OUTPUT_DIR", "")
         if outdir and not os.path.isabs(path):
             path = os.path.join(outdir, path)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -134,8 +150,8 @@ def _cmd_pn1(args) -> str:
 
 
 def _cmd_threej(args) -> str:
-    js = _parse_halfints(args.j)
-    ms = _parse_halfints(args.m)
+    js = _numbers(args.j, Fraction)
+    ms = _numbers(args.m, Fraction)
     if len(js) != 3 or len(ms) != 3:
         raise DomainError("threej needs three j values and three m values")
     pats = []
@@ -159,8 +175,7 @@ def _cmd_threej(args) -> str:
 
 
 def _parse_labels_triple(text: str) -> tuple[IrrepLabel, ...]:
-    labels = tuple(IrrepLabel([int(v) for v in part.split(",")])
-                   for part in text.split(";"))
+    labels = tuple(IrrepLabel(_numbers(part)) for part in text.split(";"))
     if len(labels) != 3 or any(l.n != 3 for l in labels):
         raise DomainError("expected three U(3) labels 'a,b,c;d,e,f;g,h,i'")
     return labels
@@ -184,7 +199,7 @@ def _cmd_su3cg(args) -> str:
 
 def _cmd_isoscalar(args) -> str:
     labels = _parse_labels_triple(args.labels)
-    rows = [tuple(int(v) for v in part.split(",")) for part in args.rows.split(";")]
+    rows = [tuple(_numbers(part)) for part in args.rows.split(";")]
     if len(rows) != 3 or any(len(r) != 2 for r in rows):
         raise DomainError("expected three middle rows 'a,b;c,d;e,f'")
     value = su3_isoscalar(labels, rows, args.rho)
@@ -225,7 +240,7 @@ def build_parser(defaults: dict[str, str]) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, group=True):
-        p.add_argument("--format", choices=("json", "csv", "text"),
+        p.add_argument("--format", choices=_FORMATS,
                        default=defaults.get("format", "text"))
         p.add_argument("--output", "-o", help="output file (relative paths "
                        "resolve against GTBOSON_OUTPUT_DIR)")
@@ -287,14 +302,14 @@ def run(argv=None) -> int:
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
-    defaults = _load_config(known.config)
-    parser = build_parser(defaults)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(_load_config(known.config)).parse_args(argv)
+        _emit(args.fn(args), args.output)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        text = args.fn(args)
+    except _UsageError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
     except (DomainError, StructureError, IsoscalarUndefined, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
@@ -304,7 +319,6 @@ def run(argv=None) -> int:
     except ConsistencyError as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return 3
-    _emit(text, args.output)
     return 0
 
 

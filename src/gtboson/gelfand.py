@@ -219,7 +219,8 @@ def weyl_dimension(label) -> int:
     den = 1
     for k in range(1, n):
         den *= math.factorial(k)
-    assert num % den == 0
+    if num % den:
+        raise ConsistencyError(f"Weyl product {num} is not divisible by {den}")
     return num // den
 
 

@@ -1,0 +1,608 @@
+"""Independent routes to the library's quantities, for cross-checking.
+
+The library has one production route per quantity.  Each route here
+computes the same values another way: 3-j symbols by Racah's factorial sum,
+raw SU(3) Wigner coefficients from the invariants' parameter-space images
+(expanded directly, or by the three-summation formula over the
+fifteen-index linear system), the hypergeometric U(3) basis, and the
+evaluation factors by mirror expansion.  Only the tests, the selftest
+suites and the CLI's run-time 3-j check import this module.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+from typing import Iterable, Sequence
+
+from .basisgen import (
+    BasisPolynomial,
+    _is_param,
+    _kernel_cached,
+    _prefixes,
+    _sign_fixed,
+    _upper_minors,
+    norm_sq_u3,
+)
+from .coupling import _k_family, _xi_product, xi_invariant
+from .gelfand import (
+    ConsistencyError,
+    DomainError,
+    GelfandPattern,
+    _phi_bits,
+    as_label,
+    as_pattern,
+    lr_exponents,
+    pattern_phi,
+    require_valid,
+)
+from .polyengine import (
+    ExactPoly,
+    Monomial,
+    SqrtRational,
+    bargmann_inner,
+    mono_from_map,
+    mono_mul,
+    xvar,
+    yvar,
+)
+
+__all__ = [
+    "racah_threej_oracle",
+    "w_invariants",
+    "SU6Indices",
+    "k_exponents",
+    "triple_to_su6",
+    "index_solutions",
+    "index_solutions_bruteforce",
+    "index_solutions_closed",
+    "su3_wigner_generating",
+    "su3_wigner_secondary",
+    "u3_basis_hypergeometric",
+    "norm_sq_u3_hypergeometric",
+    "p_n_1_oracle",
+    "u4_free_index_count",
+    "kernel_phi_support",
+]
+
+_fact = math.factorial
+
+
+# ---------------------------------------------------------------------------
+# SU(2): Racah's factorial sum.
+# ---------------------------------------------------------------------------
+
+
+def _two(x) -> int:
+    """Twice a spin value, which must be an exact half-integer (a float is
+    taken at its exact binary value, never rounded)."""
+    t = Fraction(x) * 2
+    if t.denominator != 1:
+        raise DomainError(f"{x} is not a half-integer")
+    return int(t)
+
+
+def racah_threej_oracle(j1, m1, j2, m2, j3, m3) -> SqrtRational:
+    """Independent closed-form 3-j value (single factorial sum), exact."""
+    tj = [_two(j ) for j in (j1, j2, j3)]
+    tm = [_two(m) for m in (m1, m2, m3)]
+    if any((a + b) % 2 for a, b in zip(tj, tm)) or any(abs(b) > a for a, b in zip(tj, tm)):
+        return SqrtRational.zero()
+    if sum(tm) != 0:
+        return SqrtRational.zero()
+    tJ = sum(tj)
+    if tJ % 2:
+        return SqrtRational.zero()
+    c1 = (tj[0] + tj[1] - tj[2]) // 2
+    c2 = (tj[0] - tj[1] + tj[2]) // 2
+    c3 = (-tj[0] + tj[1] + tj[2]) // 2
+    if c1 < 0 or c2 < 0 or c3 < 0:
+        return SqrtRational.zero()
+    a1 = (tj[0] - tm[0]) // 2
+    a2 = (tj[1] + tm[1]) // 2
+    b1 = (tj[2] - tj[1] + tm[0]) // 2
+    b2 = (tj[2] - tj[0] - tm[1]) // 2
+    kmin = max(0, -b1, -b2)
+    kmax = min(c1, a1, a2)
+    total = Fraction(0)
+    for k in range(kmin, kmax + 1):
+        term = Fraction((-1) ** k,
+                        _fact(k) * _fact(c1 - k) * _fact(a1 - k) * _fact(a2 - k)
+                        * _fact(b1 + k) * _fact(b2 + k))
+        total += term
+    if not total:
+        return SqrtRational.zero()
+    phase = (tj[0] - tj[1] - tm[2]) // 2
+    if phase % 2:
+        total = -total
+    rad = Fraction(_fact(c1) * _fact(c2) * _fact(c3), _fact(tJ // 2 + 1))
+    for a, b in zip(tj, tm):
+        rad *= _fact((a + b) // 2) * _fact((a - b) // 2)
+    return SqrtRational(total, rad)
+
+
+# ---------------------------------------------------------------------------
+# SU(3): the invariants in parameter space and the fifteen-index system.
+# ---------------------------------------------------------------------------
+
+
+# One entry per expansion term: (W index, level-3 variable factors,
+# xi pair or None, sign).  The fifteen terms, in canonical order, are the
+# unknowns of the index linear system.
+_W_TERMS: list[tuple[int, tuple[tuple[str, int, int, int], ...],
+                     tuple[int, int] | None, int]] = [
+    (1, (("y", 3, 1, 1), ("x", 3, 2, 2)), (1, 2), +1),   # i1
+    (1, (("x", 3, 1, 1), ("y", 3, 2, 2)), None, +1),     # i2
+    (2, (("y", 3, 1, 2), ("x", 3, 2, 1)), (1, 2), -1),   # i3
+    (2, (("x", 3, 1, 2), ("y", 3, 2, 1)), None, +1),     # i4
+    (3, (("y", 3, 1, 1), ("x", 3, 2, 3)), (1, 3), +1),   # i5
+    (3, (("x", 3, 1, 1), ("y", 3, 2, 3)), None, +1),     # i6
+    (4, (("y", 3, 1, 3), ("x", 3, 2, 1)), (1, 3), -1),   # i7
+    (4, (("x", 3, 1, 3), ("y", 3, 2, 1)), None, +1),     # i8
+    (5, (("y", 3, 1, 2), ("x", 3, 2, 3)), (2, 3), +1),   # i9
+    (5, (("x", 3, 1, 2), ("y", 3, 2, 3)), None, +1),     # i10
+    (6, (("y", 3, 1, 3), ("x", 3, 2, 2)), (2, 3), -1),   # i11
+    (6, (("x", 3, 1, 3), ("y", 3, 2, 2)), None, +1),     # i12
+    (7, (("x", 3, 1, 3), ("y", 3, 1, 1), ("y", 3, 1, 2)), (1, 2), +1),  # i13
+    (7, (("x", 3, 1, 2), ("y", 3, 1, 1), ("y", 3, 1, 3)), (1, 3), -1),  # i14
+    (7, (("x", 3, 1, 1), ("y", 3, 1, 2), ("y", 3, 1, 3)), (2, 3), +1),  # i15
+]
+
+
+def _term_poly(term) -> ExactPoly:
+    _, factors, xi, sign = term
+    poly = ExactPoly.const(sign)
+    for kind, lam, mu, slot in factors:
+        var = xvar(lam, mu, slot) if kind == "x" else yvar(lam, mu, slot)
+        poly = poly * ExactPoly.variable(var)
+    if xi is not None:
+        poly = poly * xi_invariant(*xi)
+    return poly
+
+
+@lru_cache(maxsize=None)
+def w_invariants() -> tuple[ExactPoly, ...]:
+    """The seven elementary three-slot invariants W1..W7, as polynomials in
+    the per-slot parameters x_s(3,1), y_s(3,1), x_s(3,2), y_s(3,2),
+    x_s(2,1), y_s(2,1)."""
+    ws = []
+    for idx in range(1, 8):
+        acc = ExactPoly()
+        for term in _W_TERMS:
+            if term[0] == idx:
+                acc = acc + _term_poly(term)
+        ws.append(acc)
+    return tuple(ws)
+
+
+@dataclass(frozen=True)
+class SU6Indices:
+    """The free entries of the six-row invariant pattern; h11 equals h12 by
+    convention (the printed bottom row)."""
+
+    h13: int
+    h24: int
+    h34: int
+    h23: int
+    h33: int
+    h12: int
+    h22: int
+    h11: int
+
+
+def k_exponents(su6: SU6Indices) -> tuple[int, ...]:
+    """Invariant exponents (k1..k7) read off the six-row pattern entries."""
+    k = (su6.h34 - su6.h33,
+         su6.h33,
+         su6.h12 - su6.h23,
+         su6.h22 - su6.h33,
+         (su6.h13 - su6.h24) - (su6.h12 - su6.h23),
+         su6.h24 - su6.h23,
+         (su6.h23 - su6.h34) - (su6.h22 - su6.h33))
+    if any(v < 0 for v in k):
+        raise DomainError(f"pattern indices give a negative exponent: {k}")
+    return k
+
+
+def _rho_k(family: dict[int, tuple[int, ...]], rho: int) -> tuple[int, ...]:
+    """k-vector of multiplicity `rho` (1-based, by ascending k3)."""
+    if not (1 <= rho <= len(family)):
+        raise DomainError(f"rho must be in 1..{len(family)}")
+    return family[sorted(family)[rho - 1]]
+
+
+def triple_to_su6(labels, rho: int) -> SU6Indices:
+    """Six-row pattern indices of the invariant selecting multiplicity `rho`
+    (1-based, ordered by ascending k3) for the label triple."""
+    family = _k_family(labels)
+    if not family:
+        raise DomainError(f"labels {labels} do not couple")
+    k1, k2, k3, k4, k5, k6, k7 = _rho_k(family, rho)
+    h33 = k2
+    h34 = k1 + k2
+    h22 = k2 + k4
+    h23 = k1 + k2 + k4 + k7
+    h12 = h23 + k3
+    h24 = h23 + k6
+    h13 = h24 + k3 + k5
+    return SU6Indices(h13=h13, h24=h24, h34=h34, h23=h23, h33=h33,
+                      h12=h12, h22=h22, h11=h12)
+
+
+# The fifteen-index linear system.
+
+
+def _system_rows(slot_tables, p_exponents):
+    """Right-hand sides of the fifteen degree equations, ordered as:
+    y_s(3,1), x_s(3,1), x_s(3,2), y_s(3,2) for s = 1..3, then the three
+    invariant-pair counts P3, P2, P1 mapped to pairs (1,2), (1,3), (2,3)."""
+    rhs = {}
+    for s in range(3):
+        l31, l32, r31, r32 = slot_tables[s]
+        rhs[("y", 3, 1, s + 1)] = r31
+        rhs[("x", 3, 1, s + 1)] = l31
+        rhs[("x", 3, 2, s + 1)] = l32
+        rhs[("y", 3, 2, s + 1)] = r32
+    p1, p2, p3 = p_exponents
+    rhs[("xi", 1, 2)] = p3
+    rhs[("xi", 1, 3)] = p2
+    rhs[("xi", 2, 3)] = p1
+    return rhs
+
+
+def _term_incidence():
+    """For each of the fifteen terms, the list of equations it feeds."""
+    inc = []
+    for _, factors, xi, _ in _W_TERMS:
+        eqs = [f for f in factors]
+        if xi is not None:
+            eqs.append(("xi", xi[0], xi[1]))
+        inc.append(eqs)
+    return inc
+
+
+def index_solutions_bruteforce(slot_tables, p_exponents) -> list[tuple[int, ...]]:
+    """All non-negative integer solutions of the fifteen-equation system, by
+    backtracking with running capacities."""
+    rhs = _system_rows(slot_tables, p_exponents)
+    if any(v < 0 for v in rhs.values()):
+        return []
+    inc = _term_incidence()
+    remaining = dict(rhs)
+    sol: list[int] = []
+    out: list[tuple[int, ...]] = []
+
+    # After assigning a prefix of variables, equation e can still be fed by
+    # the remaining variables only if some unassigned term touches it.
+    feeders: dict = {}
+    for j, eqs in enumerate(inc):
+        for e in eqs:
+            feeders.setdefault(e, []).append(j)
+
+    def rec(j: int) -> None:
+        if j == len(inc):
+            if all(v == 0 for v in remaining.values()):
+                out.append(tuple(sol))
+            return
+        bound = min(remaining[e] for e in inc[j])
+        for val in range(bound + 1):
+            for e in inc[j]:
+                remaining[e] -= val
+            # prune: any equation whose feeders are exhausted must be zero
+            dead = any(remaining[e] > 0 and max(feeders[e]) <= j
+                       for e in feeders)
+            sol.append(val)
+            if not dead:
+                rec(j + 1)
+            sol.pop()
+            for e in inc[j]:
+                remaining[e] += val
+    rec(0)
+    return sorted(out)
+
+
+def index_solutions_closed(slot_tables, p_exponents) -> list[tuple[int, ...]]:
+    """Solutions via the closed parametrization: scan the free indices
+    i6, i7, i9, i11 and eliminate the rest linearly (the multiplicity slice
+    is recovered through k3 = i5 + i6)."""
+    (l1_31, l1_32, r1_31, r1_32), (l2_31, l2_32, r2_31, r2_32), \
+        (l3_31, l3_32, r3_31, r3_32) = slot_tables
+    p1, p2, p3 = p_exponents
+    if min(p1, p2, p3) < 0:
+        return []
+    out = []
+    for i7 in range(l1_32 + 1):
+        for i9 in range(l3_32 + 1):
+            for i11 in range(l2_32 + 1):
+                for i6 in range(r3_32 + 1):
+                    i3 = l1_32 - i7
+                    i1 = l2_32 - i11
+                    i5 = l3_32 - i9
+                    i13 = p3 - i1 - i3
+                    i14 = p2 - i5 - i7
+                    i15 = p1 - i9 - i11
+                    i10 = r3_32 - i6
+                    i14_ok = i13 >= 0 and i14 >= 0 and i15 >= 0
+                    if not i14_ok:
+                        continue
+                    i4 = l2_31 - i10 - i14
+                    if i4 < 0:
+                        continue
+                    i8 = r1_32 - i4
+                    if i8 < 0:
+                        continue
+                    i12 = l3_31 - i8 - i13
+                    if i12 < 0:
+                        continue
+                    i2 = r2_32 - i12
+                    if i2 < 0:
+                        continue
+                    iv = (i1, i2, i3, i4, i5, i6, i7, i8, i9, i10, i11,
+                          i12, i13, i14, i15)
+                    # the four equations not used in the elimination
+                    if iv[0] + iv[4] + iv[12] + iv[13] != r1_31:
+                        continue
+                    if iv[2] + iv[8] + iv[12] + iv[14] != r2_31:
+                        continue
+                    if iv[6] + iv[10] + iv[13] + iv[14] != r3_31:
+                        continue
+                    if iv[1] + iv[5] + iv[14] != l1_31:
+                        continue
+                    out.append(iv)
+    return sorted(out)
+
+
+def index_solutions(slot_tables, p_exponents) -> list[tuple[int, ...]]:
+    """Non-negative solutions of the index system, computed by both routes,
+    which must agree."""
+    brute = index_solutions_bruteforce(slot_tables, p_exponents)
+    closed = index_solutions_closed(slot_tables, p_exponents)
+    if brute != closed:
+        raise ConsistencyError("index system routes disagree")
+    return brute
+
+
+def _term_sign_exponent(iv: Sequence[int]) -> int:
+    """Parity contribution of the negative expansion terms (i3, i7, i11, i14)."""
+    return iv[2] + iv[6] + iv[10] + iv[13]
+
+
+def _reduced_sum(k: Sequence[int], iv_list: Iterable[Sequence[int]]) -> Fraction:
+    """Multinomial triple sum over the multiplicity slice of the index
+    solutions: sum of sign * prod(k_j!) / prod(i_j!)."""
+    total = Fraction(0)
+    kfact = 1
+    for v in k:
+        kfact *= _fact(v)
+    for iv in iv_list:
+        den = 1
+        for v in iv:
+            den *= _fact(v)
+        term = Fraction(kfact, den)
+        if _term_sign_exponent(iv) % 2:
+            term = -term
+        total += term
+    return total
+
+
+# Wigner coefficients from the parameter-space images.
+
+
+def _slot_exponent_table(p: GelfandPattern):
+    lr = lr_exponents(p)
+    return (lr.L[(3, 1)], lr.L[(3, 2)], lr.R[(3, 1)], lr.R[(3, 2)])
+
+
+def _slot2_exponents(p: GelfandPattern) -> tuple[int, int]:
+    lr = lr_exponents(p)
+    return lr.L[(2, 1)], lr.R[(2, 1)]
+
+
+def _p_exponents(pats) -> tuple[int, int, int]:
+    """(P1, P2, P3): per-slot invariant-pair counts; 2j_s = L_s(2,1)+R_s(2,1)
+    and P_s = J - 2 j_s."""
+    tj = [sum(_slot2_exponents(p)) for p in pats]
+    tJ = sum(tj)
+    if tJ % 2:
+        return (-1, -1, -1)
+    return tuple((tJ - 2 * t) // 2 for t in tj)  # type: ignore[return-value]
+
+
+def su3_wigner_secondary(labels, patterns, rho: int = 1) -> Fraction:
+    """Raw coefficient by the closed triple-sum route: the multiplicity-sliced
+    multinomial sum over the index system times the two-slot invariant
+    extraction.  Equals the raw polynomial-expansion coefficient exactly."""
+    labels = tuple(as_label(l) for l in labels)
+    pats = tuple(require_valid(as_pattern(p)) for p in patterns)
+    family = _k_family(labels)
+    if not family:
+        return Fraction(0)
+    k = _rho_k(family, rho)
+    slot_tables = tuple(_slot_exponent_table(p) for p in pats)
+    p_exp = _p_exponents(pats)
+    if min(p_exp) < 0:
+        return Fraction(0)
+    sols = [iv for iv in index_solutions_closed(slot_tables, p_exp)
+            if _k_of_solution(iv) == k]
+    if not sols:
+        return Fraction(0)
+    d = _reduced_sum(k, sols)
+    p1, p2, p3 = p_exp
+    target = mono_from_map({
+        v: e for s, p in enumerate(pats, start=1)
+        for v, e in ((xvar(2, 1, s), _slot2_exponents(p)[0]),
+                     (yvar(2, 1, s), _slot2_exponents(p)[1])) if e
+    })
+    c2 = _xi_product(p1, p2, p3).coefficient(target)
+    return d * c2
+
+
+def _k_of_solution(iv: Sequence[int]) -> tuple[int, ...]:
+    return (iv[0] + iv[1], iv[2] + iv[3], iv[4] + iv[5], iv[6] + iv[7],
+            iv[8] + iv[9], iv[10] + iv[11], iv[12] + iv[13] + iv[14])
+
+
+def su3_wigner_generating(labels, patterns, rho: int = 1) -> Fraction:
+    """Raw coefficient of a pattern triple in the parameter-space image of
+    the invariant: expand prod W_i^(k_i) over the generating-function
+    parameters and read the coefficient of the three pattern monomials.
+    Agrees exactly with the closed triple-sum route."""
+    labels = tuple(as_label(l) for l in labels)
+    pats = tuple(require_valid(as_pattern(p)) for p in patterns)
+    family = _k_family(labels)
+    if not family:
+        return Fraction(0)
+    k = _rho_k(family, rho)
+    ws = w_invariants()
+    inv = ExactPoly.const(1)
+    for w, e in zip(ws, k):
+        if e:
+            inv = inv * w ** e
+    mono = mono_mul(mono_mul(pattern_phi(pats[0], 1), pattern_phi(pats[1], 2)),
+                    pattern_phi(pats[2], 3))
+    return inv.coefficient(mono)
+
+
+# ---------------------------------------------------------------------------
+# Bases: the hypergeometric U(3) form, U(4) index count, evaluation factors.
+# ---------------------------------------------------------------------------
+
+
+def norm_sq_u3_hypergeometric(pattern) -> Fraction:
+    """Norm squared of the hypergeometric-form U(3) polynomial (whose leading
+    series coefficient is one); defined on that form's domain, h33 = 0 and
+    h11 >= h23.  Differs from norm_sq_u3 by the square of the binomial
+    relating the two leading coefficients."""
+    p = require_valid(as_pattern(pattern))
+    if p.n != 3:
+        raise DomainError("requires a U(3) pattern")
+    h13, h23, h33 = p.row(3)
+    h12, _h22 = p.row(2)
+    h11 = p.row(1)[0]
+    if h33 != 0 or h11 < h23:
+        raise DomainError("hypergeometric norm requires h33 = 0 and h11 >= h23")
+    scale = math.comb(h12 - h23, h11 - h23)
+    return norm_sq_u3(p) / (scale * scale)
+
+
+def u3_basis_hypergeometric(pattern) -> BasisPolynomial:
+    """U(3) basis via the terminating 2F1 form, valid for h33 = 0 and
+    h11 >= h23; other patterns are outside this form's domain."""
+    p = require_valid(as_pattern(pattern))
+    if p.n != 3:
+        raise DomainError("u3_basis_hypergeometric requires a U(3) pattern")
+    h13, h23, h33 = p.row(3)
+    h12, h22 = p.row(2)
+    h11 = p.row(1)[0]
+    if h33 != 0 or h11 < h23:
+        raise DomainError("hypergeometric form requires h33 = 0 and h11 >= h23")
+    d = _upper_minors(3)
+    a, b, c = h22 - h23, h11 - h12, h11 - h23 + 1
+    kmax = min(h23 - h22, h12 - h11)
+    acc = ExactPoly()
+    coeff = Fraction(1)
+    for k in range(kmax + 1):
+        if k:
+            coeff *= Fraction((a + k - 1) * (b + k - 1), (c + k - 1) * k)
+        term = (d[(1,)] ** (h11 - h23 + k) * d[(2,)] ** (h12 - h11 - k)
+                * d[1, 3] ** (h23 - h22 - k) * d[2, 3] ** k)
+        acc = acc + coeff * term
+    poly = acc * (d[1, 2] ** h22 * d[(3,)] ** (h13 - h12))
+    return _sign_fixed(p, poly, bargmann_inner(poly, poly))
+
+
+def u4_free_index_count(pattern) -> int:
+    """Number of free indices left by the U(4) constraint system: twelve
+    trinomial indices minus the rank of the ten linear constraints (four
+    group totals and six parameter-matching equations), computed exactly."""
+    p = require_valid(as_pattern(pattern))
+    if p.n != 4:
+        raise DomainError("u4_free_index_count requires a U(4) pattern")
+    # Unknowns a..l in order; build constraint matrix rows.
+    rows = [
+        [1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],  # a+b+c
+        [0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0],  # d+e+f
+        [0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0],  # g+h+i
+        [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1],  # j+k+l
+        [1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0],  # y(3,1)
+        [0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0],  # x(3,1)
+        [0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1, 0],  # x(3,2)
+        [0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1],  # y(3,2)
+        [1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0],  # y(2,1)
+        [0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0],  # x(2,1)
+    ]
+    mat = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    col = 0
+    while rank < len(mat) and col < 12:
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            col += 1
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = 1 / mat[rank][col]
+        mat[rank] = [v * inv for v in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col]:
+                f = mat[r][col]
+                mat[r] = [v - f * w for v, w in zip(mat[r], mat[rank])]
+        rank += 1
+        col += 1
+    return 12 - rank
+
+
+def kernel_phi_support(label, branch) -> set[Monomial]:
+    """Set of parameter monomials occurring in the branching kernel; equals
+    {pattern_phi(p) for p in patterns of the branch label} when the kernel is
+    complete."""
+    kernel = _kernel_cached(as_label(label).h, as_label(branch).h)
+    out: set[Monomial] = set()
+    for m in kernel.terms:
+        out.add(tuple((v, e) for v, e in m if _is_param(v)))
+    return out
+
+
+# The evaluation factors P_n(1) by mirror expansion.
+
+
+def _mirror_groups(n: int):
+    """Parameter mirrors of the kernel groups: the z-minor of each word is
+    replaced by 1, leaving the sum of prefix parameter monomials per group."""
+    sx: dict[int, ExactPoly] = {k: ExactPoly() for k in range(1, n + 1)}
+    sy: dict[int, ExactPoly] = {k: ExactPoly() for k in range(1, n)}
+    for prefix in _prefixes(n):
+        phi = ExactPoly.monomial(_phi_bits(prefix, 0))
+        pc = sum(prefix)
+        sx[pc + 1] = sx[pc + 1] + phi
+        if pc >= 1:
+            sy[pc] = sy[pc] + phi
+    return sx, sy
+
+
+@lru_cache(maxsize=None)
+def _mirror_expansion(top: tuple[int, ...], row: tuple[int, ...]) -> ExactPoly:
+    """Parameter mirror of the branching kernel of `top` over `row`: the
+    group mirrors raised to the kernel's exponents.  The X(n) mirror is 1
+    (the all-ones prefix), so the determinant power contributes nothing."""
+    sx, sy = _mirror_groups(len(top))
+    out = ExactPoly.const(1)
+    for k in range(1, len(top)):
+        lk = top[k - 1] - row[k - 1]
+        rk = row[k - 1] - top[k]
+        out = out * sx[k] ** lk * sy[k] ** rk
+    return out
+
+
+def p_n_1_oracle(pattern) -> int:
+    """Brute-force evaluation factor: expand the parameter mirror of the
+    branching kernel and extract the lower pattern's monomial."""
+    p = require_valid(as_pattern(pattern))
+    if p.n < 3:
+        raise DomainError("oracle defined for n >= 3")
+    val = _mirror_expansion(p.top, p.row(p.n - 1)).coefficient(
+        pattern_phi(p.lower()))
+    if val.denominator != 1:
+        raise ConsistencyError(f"mirror coefficient {val} is not an integer")
+    return val.numerator

@@ -154,10 +154,6 @@ class ExactPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "ExactPoly":
-        return cls()
-
-    @classmethod
     def const(cls, c) -> "ExactPoly":
         c = _frac(c)
         return cls({ONE: c}) if c else cls()
@@ -265,12 +261,6 @@ class ExactPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def variables(self) -> set[VarId]:
-        out: set[VarId] = set()
-        for m in self.terms:
-            out.update(v for v, _ in m)
-        return out
-
     def leading_monomial(self) -> Monomial:
         """Highest monomial in lexicographic order (earlier variables
         dominate, larger exponents first)."""
@@ -283,15 +273,6 @@ class ExactPoly:
 
     def coefficient(self, m: Monomial) -> Fraction:
         return self.terms.get(m, Fraction(0))
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e for _, e in m) for m in self.terms)
-
-    def truncate_degree(self, dmax: int) -> "ExactPoly":
-        return ExactPoly({m: c for m, c in self.terms.items()
-                          if sum(e for _, e in m) <= dmax})
 
     def map_variables(self, fn: Callable[[VarId], VarId]) -> "ExactPoly":
         """Relabel variables through a map (e.g. retag slots); exponents of
@@ -326,15 +307,6 @@ class ExactPoly:
                 acc[rest] = acc.get(rest, Fraction(0)) + c
         return ExactPoly(acc)
 
-    def split_by(self, subset: Callable[[VarId], bool]) -> dict[Monomial, "ExactPoly"]:
-        """Group terms by their monomial in the selected variables."""
-        groups: dict[Monomial, dict[Monomial, Fraction]] = {}
-        for m, c in self.terms.items():
-            inside = tuple((v, e) for v, e in m if subset(v))
-            rest = tuple((v, e) for v, e in m if not subset(v))
-            groups.setdefault(inside, {})[rest] = c
-        return {k: ExactPoly(v) for k, v in groups.items()}
-
     def text(self) -> str:
         """Canonical text form: terms sorted highest-first, exact coefficients."""
         if not self.terms:
@@ -356,60 +328,45 @@ class ExactPoly:
         return f"ExactPoly({self.text()})"
 
 
-def poly_add(p: ExactPoly, q: ExactPoly) -> ExactPoly:
-    return p + q
-
-
-def poly_mul(p: ExactPoly, q: ExactPoly) -> ExactPoly:
-    return p * q
-
-
-def poly_pow(p: ExactPoly, k: int) -> ExactPoly:
-    return p ** k
-
-
-def extract_coefficient(p: ExactPoly, target: Monomial,
-                        subset: Callable[[VarId], bool]) -> ExactPoly:
-    return p.extract_coefficient(target, subset)
-
-
 def symbolic_matrix(n: int, slot: int = 0) -> list[list[ExactPoly]]:
     """The n x n matrix of independent variables z[r,c] (1-indexed)."""
     return [[ExactPoly.variable(zvar(r, c, slot)) for c in range(1, n + 1)]
             for r in range(1, n + 1)]
 
 
-def minor(mat: Sequence[Sequence[ExactPoly]], rows: Sequence[int],
-          cols: Sequence[int]) -> ExactPoly:
+def minor(mat: Sequence[Sequence], rows: Sequence[int], cols: Sequence[int]):
     """Determinant of the submatrix on `rows` x `cols` (1-indexed), by
     Laplace expansion along the first selected row.
 
-    Row/column index lists must be strictly increasing and of equal length.
+    Entries may be any ring values with +, - and * (`ExactPoly`,
+    `GaussianRational`); the sum starts from the first cofactor term, so no
+    ring zero is needed.  Row/column index lists must be non-empty, strictly
+    increasing and of equal length.
     """
     if len(rows) != len(cols):
         raise ValueError("minor requires equally many rows and columns")
+    if not rows:
+        raise ValueError("minor requires at least one row and column")
     for idx in (rows, cols):
         if any(b <= a for a, b in zip(idx, idx[1:])):
             raise ValueError("minor indices must be strictly increasing")
-        if idx and (idx[0] < 1 or idx[-1] > len(mat)):
+        if idx[0] < 1 or idx[-1] > len(mat):
             raise ValueError("minor index out of range")
     return _det_expand(mat, tuple(rows), tuple(cols))
 
 
-def _det_expand(mat, rows: tuple[int, ...], cols: tuple[int, ...]) -> ExactPoly:
-    if not rows:
-        return ExactPoly.const(1)
+def _det_expand(mat, rows: tuple[int, ...], cols: tuple[int, ...]):
+    row = mat[rows[0] - 1]
     if len(rows) == 1:
-        return mat[rows[0] - 1][cols[0] - 1]
-    r = rows[0]
-    acc = ExactPoly()
+        return row[cols[0] - 1]
+    acc = None
     for j, c in enumerate(cols):
-        entry = mat[r - 1][c - 1]
-        if isinstance(entry, ExactPoly) and entry.is_zero():
-            continue
-        sub = _det_expand(mat, rows[1:], cols[:j] + cols[j + 1:])
-        term = entry * sub
-        acc = acc + (term if j % 2 == 0 else -term)
+        term = row[c - 1]
+        if term:  # a zero entry is its own (zero) cofactor term
+            term = term * _det_expand(mat, rows[1:], cols[:j] + cols[j + 1:])
+        if j % 2:
+            term = -term
+        acc = term if acc is None else acc + term
     return acc
 
 
@@ -445,18 +402,21 @@ def diagonal_degrees(p: ExactPoly, ncols: int | None = None) -> list[int]:
     if ncols is None:
         ncols = max((v[3] for m in p.terms for v, _ in m if v[0] == "z"),
                     default=0)
-    degrees: list[int] | None = None
-    for m in p.terms:
+
+    def column_degrees(m: Monomial) -> list[int]:
         d = [0] * ncols
         for v, e in m:
             if v[0] == "z":
                 d[v[3] - 1] += e
-        if degrees is None:
-            degrees = d
-        elif degrees != d:
+        return d
+
+    terms = iter(p.terms)
+    degrees = column_degrees(next(terms))
+    for m in terms:
+        d = column_degrees(m)
+        if degrees != d:
             bad = next(j for j in range(ncols) if degrees[j] != d[j])
             raise ValueError(f"polynomial is not homogeneous in column {bad + 1}")
-    assert degrees is not None
     return degrees
 
 
@@ -648,9 +608,6 @@ class SqrtRational:
 
     def sign(self) -> int:
         return (self.q > 0) - (self.q < 0)
-
-    def __float__(self) -> float:
-        return float(self.q) * math.sqrt(float(self.r))
 
     # -- text and wire form --------------------------------------------------
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import basisgen, coupling, gelfand
+from . import basisgen, coupling, gelfand, oracles
 from .gelfand import GelfandPattern, IrrepLabel, enumerate_patterns, patterns_of
 from .polyengine import (
     ExactPoly,
@@ -25,7 +25,7 @@ from .polyengine import (
     symbolic_matrix,
 )
 
-__all__ = ["SuiteResult", "run_suite", "run_all", "SUITES",
+__all__ = ["SuiteResult", "run_all", "SUITES",
            "GOLDEN_PHI_N3", "GOLDEN_PHI_N4", "GOLDEN_PHI_N5"]
 
 
@@ -206,12 +206,12 @@ def suite_closed_forms(_=None) -> SuiteResult:
         checks += 1
         h = p.rows
         if h[0][2] == 0 and h[2][0] >= h[0][1]:
-            hb = basisgen.u3_basis_hypergeometric(p)
+            hb = oracles.u3_basis_hypergeometric(p)
             ca, ch = a.poly.leading_coefficient(), hb.poly.leading_coefficient()
             if a.poly * ch != hb.poly * ca:
                 return SuiteResult("closed-forms", False, checks,
                                    f"2F1 form {p!r}")
-            if hb.norm_sq != basisgen.norm_sq_u3_hypergeometric(p):
+            if hb.norm_sq != oracles.norm_sq_u3_hypergeometric(p):
                 return SuiteResult("closed-forms", False, checks,
                                    f"2F1 norm {p!r}")
             checks += 1
@@ -227,18 +227,6 @@ def suite_closed_forms(_=None) -> SuiteResult:
 
 
 # -- 5. combinatorial evaluation factors --------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _mirror_expansion(top: tuple, row: tuple) -> ExactPoly:
-    sx, sy = basisgen._mirror_groups(len(top))
-    label, branch = IrrepLabel(top), IrrepLabel(row)
-    out = ExactPoly.const(1)
-    for k in range(1, label.n):
-        lk = label.h[k - 1] - branch.h[k - 1]
-        rk = branch.h[k - 1] - label.h[k]
-        out = out * sx[k] ** lk * sy[k] ** rk
-    return out
 
 
 def _reconstruct_lower(row: tuple, mono: Monomial) -> GelfandPattern | None:
@@ -299,7 +287,7 @@ def _pn1_closed_direct(n: int, sums, mono: Monomial) -> int:
 def _mirror_power(n: int, sums: tuple) -> ExactPoly:
     """prod_k G_k^{sums[k]} where G_k is the popcount-k parameter mirror;
     the mirror of the full kernel factors through these sums."""
-    sx, sy = basisgen._mirror_groups(n)
+    sx, sy = oracles._mirror_groups(n)
     out = ExactPoly.const(1)
     for k in range(1, n - 1):
         out = out * sy[k] ** sums[k - 1]
@@ -348,7 +336,7 @@ def suite_pn1(_=None) -> SuiteResult:
         # spectator exponents (L_n^1 and the determinant power) enter neither
         # side; spot-check a shifted pattern family
         for p in patterns_of(IrrepLabel((3, 2, 1, 1, 0))):
-            expansion = _mirror_expansion(p.top, p.row(4))
+            expansion = oracles._mirror_expansion(p.top, p.row(4))
             target = gelfand.pattern_phi(p.lower())
             if expansion.coefficient(target) != basisgen.p_n_1(p):
                 raise AssertionError(f"pn1 mismatch at {p!r}")
@@ -368,7 +356,7 @@ def suite_u4_free_indices(_=None) -> SuiteResult:
         range(2, -1, -1), 4) if max(h) >= 1]
     for h in labels:
         for p in patterns_of(IrrepLabel(h)):
-            if basisgen.u4_free_index_count(p) != 5:
+            if oracles.u4_free_index_count(p) != 5:
                 return SuiteResult("u4-free-indices", False, checks, f"{p!r}")
             checks += 1
     return SuiteResult("u4-free-indices", True, checks,
@@ -391,7 +379,7 @@ def suite_su2_threej(tjmax: int = 6) -> SuiteResult:
                 pats = [GelfandPattern([[tj, 0], [(tj + tm) // 2]])
                         for tj, tm in ((tj1, tm1), (tj2, tm2), (tj3, tm3))]
                 a = coupling.su2_threej(*pats)
-                b = coupling.racah_threej_oracle(
+                b = oracles.racah_threej_oracle(
                     Fraction(tj1, 2), Fraction(tm1, 2), Fraction(tj2, 2),
                     Fraction(tm2, 2), Fraction(tj3, 2), Fraction(tm3, 2))
                 if a != b:
@@ -501,8 +489,8 @@ def suite_su3_coupling(_=None) -> SuiteResult:
             for p1 in pats[0]:
                 for p2 in pats[1]:
                     for p3 in pats[2]:
-                        a = coupling.su3_wigner_generating(labels, (p1, p2, p3), rho)
-                        b = coupling.su3_wigner_secondary(labels, (p1, p2, p3), rho)
+                        a = oracles.su3_wigner_generating(labels, (p1, p2, p3), rho)
+                        b = oracles.su3_wigner_secondary(labels, (p1, p2, p3), rho)
                         if a != b:
                             return SuiteResult("su3-coupling", False, checks,
                                                f"path {labels}")
@@ -586,10 +574,6 @@ SUITES = {
     "su3": suite_su3_coupling,
     "kernel": suite_kernel_identity,
 }
-
-
-def run_suite(name: str) -> SuiteResult:
-    return SUITES[name]()
 
 
 def run_all(names=None) -> list[SuiteResult]:

@@ -10,19 +10,13 @@ from gtboson.basisgen import (
     const_A,
     const_branching_ratio,
     d_semimax_eval,
-    kernel_phi_support,
-    norm_constants,
     norm_sq_semimax,
     norm_sq_u2,
     norm_sq_u3,
-    norm_sq_u3_hypergeometric,
     p_n_1,
-    p_n_1_oracle,
     u2_basis_closed,
     u3_basis_closed,
-    u3_basis_hypergeometric,
     u4_basis_closed,
-    u4_free_index_count,
 )
 from gtboson.gelfand import (
     DomainError,
@@ -32,6 +26,13 @@ from gtboson.gelfand import (
     pattern_phi,
     semimax_pattern,
     weight,
+)
+from gtboson.oracles import (
+    kernel_phi_support,
+    norm_sq_u3_hypergeometric,
+    p_n_1_oracle,
+    u3_basis_hypergeometric,
+    u4_free_index_count,
 )
 from gtboson.polyengine import (
     ExactPoly,
@@ -70,12 +71,6 @@ class TestConstants:
                 b = basis_from_branching(p)
                 lhs = const_A(label) * b.norm_sq * norm_sq_u2(p.lower())
                 assert lhs == const_branching_ratio(label, p.rows[1])
-
-    def test_norm_constants_record(self):
-        nc = norm_constants([2, 1, 0], [2, 1])
-        assert nc.A_n == const_A([2, 1, 0])
-        assert nc.N_semimax.squared() == norm_sq_semimax([2, 1, 0], [2, 1])
-        assert nc.N3 is not None
 
 
 class TestU2Basis:

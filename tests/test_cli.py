@@ -125,6 +125,42 @@ def test_config_sets_default_format(tmp_path, capsys):
     assert json.loads(out)["dimension"] == 2
 
 
+def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run_cli(capsys, "dim", "--label", "2,1,0", "-o", str(target))
+    assert code == 2 and out == "" and not target.exists()
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("line, allowed", [("group=u9", "u1, u2, u3, u4, u5"),
+                                           ("format=xml", "json, csv, text")])
+def test_config_value_outside_choices_is_a_usage_error(tmp_path, capsys, line,
+                                                       allowed):
+    conf = tmp_path / "conf"
+    conf.write_text(line + "\n")
+    code, out, err = run_cli(capsys, "--config", str(conf), "dim",
+                             "--label", "2,1,0")
+    assert code == 2 and out == ""
+    assert err == f"error: config {line} is not one of {allowed}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("dim", "--label", "1,a"),
+    ("patterns", "--label", "2,,0"),
+    ("basis", "--pattern", "2,1,0;2,x;1"),
+    ("pn1", "--pattern", "2,1,0;2,0;"),
+    ("threej", "--j", "1,1,x", "--m", "0,0,0"),
+    ("threej", "--j", "1,1,1", "--m", "0,1/0,0"),
+    ("su3cg", "--labels", "1,0,0;1,1,0;1,1,q"),
+    ("isoscalar", "--labels", "1,0,0;1,1,0;1,1,1", "--rows", "1,0;1,0;1,z"),
+])
+def test_malformed_number_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed number list ")
+    assert err.count("\n") == 1
+
+
 def test_selftest_filter(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--suite", "generating")
     assert code == 0 and "PASS" in out and "ALL SUITES PASS" in out

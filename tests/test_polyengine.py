@@ -68,6 +68,8 @@ class TestMinor:
         z = symbolic_matrix(3)
         with pytest.raises(ValueError):
             minor(z, (1, 1), (1, 2))
+        with pytest.raises(ValueError):
+            minor(z, (), ())
 
     def test_equal_columns_vanish(self):
         z = symbolic_matrix(3)
