@@ -3,9 +3,10 @@
 The generic construction expands a branching kernel, a finite product of
 mixed minor/parameter groups, and reads off the coefficient of the lower
 pattern's parameter monomial; that coefficient is the Gel'fand basis
-polynomial up to normalization.  Closed single-sum (U(3)) and five-index
-(U(4)) forms are provided and tested against the kernel extraction, which is
-the authoritative oracle.
+polynomial up to normalization.  Each kernel is expanded once and split by
+parameter monomial, which yields the basis of every pattern under its two
+top rows.  Closed single-sum (U(3)) and five-index (U(4)) forms are tested
+against this kernel route, the authoritative oracle.
 
 Normalization constants are exact rationals; the square root appears only in
 the SqrtRational values handed to callers.
@@ -33,6 +34,7 @@ from .gelfand import (
 from .polyengine import (
     ExactPoly,
     GaussianRational,
+    Monomial,
     SqrtRational,
     bargmann_inner,
     minor,
@@ -262,25 +264,23 @@ def branching_kernel(label, branch) -> ExactPoly:
 
 
 @lru_cache(maxsize=None)
-def _kernel_cached(top: tuple[int, ...], row2: tuple[int, ...]) -> ExactPoly:
-    return branching_kernel(IrrepLabel(top), IrrepLabel(row2))
-
-
-def _is_param(v) -> bool:
-    return v[0] in ("x", "y")
+def _branch_family(top: tuple[int, ...],
+                   row: tuple[int, ...]) -> dict[Monomial, ExactPoly]:
+    """Every basis polynomial of the patterns with this top and next row,
+    keyed by the lower pattern's parameter monomial: the branching kernel,
+    split once by parameter monomial.  Callers must not mutate the dict."""
+    return branching_kernel(IrrepLabel(top), IrrepLabel(row)).split_parameters()
 
 
 @lru_cache(maxsize=None)
 def _raw_basis(rows: tuple[tuple[int, ...], ...]) -> tuple[ExactPoly, Fraction]:
-    """Kernel extraction for a pattern, no sign convention applied."""
+    """Kernel coefficient for a pattern, no sign convention applied."""
     p = require_valid(GelfandPattern(rows))
     if p.n == 1:
         poly = ExactPoly.variable(zvar(1, 1)) ** p.top[0]
         return poly, bargmann_inner(poly, poly)
-    kernel = _kernel_cached(p.top, p.row(p.n - 1))
-    target = pattern_phi(p.lower())
-    poly = kernel.extract_coefficient(target, _is_param)
-    if poly.is_zero():
+    poly = _branch_family(p.top, p.row(p.n - 1)).get(pattern_phi(p.lower()))
+    if poly is None:
         raise DomainError(f"kernel extraction produced zero for {p!r}")
     return poly, bargmann_inner(poly, poly)
 

@@ -445,13 +445,22 @@ def coupling_table(labels) -> CouplingTable:
     return _table_cached(l1.h, l2.h, l3.h)
 
 
+def _table_at(labels, rho: int) -> CouplingTable:
+    """The table of a triple that couples with multiplicity rho or more."""
+    table = coupling_table(labels)
+    if not table.rho_count:
+        raise DomainError(f"labels {[list(l.h) for l in table.labels]} "
+                          "do not couple")
+    if not 1 <= rho <= table.rho_count:
+        raise DomainError(f"rho out of range 1..{table.rho_count}")
+    return table
+
+
 def su3_wigner(labels, patterns, rho: int = 1) -> SqrtRational:
     """Wigner coefficient of a pattern triple at multiplicity rho (1-based);
-    exact zero when the weights do not balance or the triple does not couple."""
-    table = coupling_table(labels)
-    if rho < 1 or rho > max(table.rho_count, 0):
-        raise DomainError(f"rho out of range 1..{table.rho_count}")
-    return table.value(patterns, rho)
+    exact zero when the weights do not balance.  DomainError when the
+    triple does not couple or rho is outside 1..rho_count."""
+    return _table_at(labels, rho).value(patterns, rho)
 
 
 def su3_isoscalar(labels, su2_rows, rho: int = 1) -> SqrtRational:
@@ -461,13 +470,12 @@ def su3_isoscalar(labels, su2_rows, rho: int = 1) -> SqrtRational:
     `su2_rows` is the triple of middle rows [h12, h22] (one per slot); all
     valid bottom rows are scanned and the ratios must agree.  If every SU(2)
     factor vanishes, the isoscalar is undefined and IsoscalarUndefined is
-    raised.
+    raised.  DomainError when the triple does not couple or rho is outside
+    1..rho_count.
     """
     labels = tuple(as_label(l) for l in labels)
     rows = [tuple(int(v) for v in r) for r in su2_rows]
-    table = coupling_table(labels)
-    if rho < 1 or rho > max(table.rho_count, 0):
-        raise DomainError(f"rho out of range 1..{table.rho_count}")
+    table = _table_at(labels, rho)
     ratios: list[SqrtRational] = []
     for bots in _bottom_choices(labels, rows):
         pats = [GelfandPattern([list(labels[s].h), list(rows[s]), [bots[s]]])

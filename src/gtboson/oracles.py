@@ -19,8 +19,7 @@ from typing import Iterable, Sequence
 
 from .basisgen import (
     BasisPolynomial,
-    _is_param,
-    _kernel_cached,
+    _branch_family,
     _prefixes,
     _sign_fixed,
     _upper_minors,
@@ -557,11 +556,7 @@ def kernel_phi_support(label, branch) -> set[Monomial]:
     """Set of parameter monomials occurring in the branching kernel; equals
     {pattern_phi(p) for p in patterns of the branch label} when the kernel is
     complete."""
-    kernel = _kernel_cached(as_label(label).h, as_label(branch).h)
-    out: set[Monomial] = set()
-    for m in kernel.terms:
-        out.add(tuple((v, e) for v, e in m if _is_param(v)))
-    return out
+    return set(_branch_family(as_label(label).h, as_label(branch).h))
 
 
 # The evaluation factors P_n(1) by mirror expansion.

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -131,6 +132,9 @@ def mono_lex_cmp(m1: Monomial, m2: Monomial) -> int:
 
 
 _MONO_KEY = cmp_to_key(mono_lex_cmp)
+
+# Sorts after each (x or y variable, exponent) pair, before each z pair.
+_Z_FIRST = (("z",),)
 
 
 class ExactPoly:
@@ -287,25 +291,19 @@ class ExactPoly:
             acc[nm] = acc.get(nm, Fraction(0)) + c
         return ExactPoly(acc)
 
-    def extract_coefficient(self, target: Monomial,
-                            subset: Callable[[VarId], bool]) -> "ExactPoly":
-        """Coefficient polynomial of `target` with respect to the variables
-        selected by `subset`.
+    def split_parameters(self) -> dict[Monomial, "ExactPoly"]:
+        """Coefficient polynomials in the z variables, keyed by parameter
+        monomial: self == sum of key * value over the returned items.
 
-        Keeps exactly the terms whose restriction to the selected variables
-        equals `target`, and strips those variables from them.  `target` must
-        involve only selected variables.
+        Kinds "x" and "y" sort before "z", so the parameter part of each
+        monomial is a prefix, found by bisection.  A z-only polynomial maps
+        to {(): self}; the zero polynomial maps to {}.
         """
-        for v, _ in target:
-            if not subset(v):
-                raise ValueError(f"target monomial uses non-subset variable {v}")
-        acc: dict[Monomial, Fraction] = {}
+        parts: dict[Monomial, dict[Monomial, Fraction]] = {}
         for m, c in self.terms.items():
-            inside = tuple((v, e) for v, e in m if subset(v))
-            if inside == target:
-                rest = tuple((v, e) for v, e in m if not subset(v))
-                acc[rest] = acc.get(rest, Fraction(0)) + c
-        return ExactPoly(acc)
+            k = bisect_left(m, _Z_FIRST)
+            parts.setdefault(m[:k], {})[m[k:]] = c
+        return {m: ExactPoly.__new_raw(acc) for m, acc in parts.items()}
 
     def text(self) -> str:
         """Canonical text form: terms sorted highest-first, exact coefficients."""

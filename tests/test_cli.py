@@ -144,6 +144,24 @@ def test_config_value_outside_choices_is_a_usage_error(tmp_path, capsys, line,
     assert err == f"error: config {line} is not one of {allowed}\n"
 
 
+def test_config_directory_is_a_usage_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "--config", str(tmp_path), "dim",
+                             "--label", "2,1,0")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read config {tmp_path}: ")
+    assert err.count("\n") == 1
+
+
+def test_config_undecodable_is_a_usage_error(tmp_path, capsys):
+    conf = tmp_path / "conf"
+    conf.write_bytes(b"format=json\n\xff\n")
+    code, out, err = run_cli(capsys, "--config", str(conf), "dim",
+                             "--label", "2,1,0")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read config {conf}: ")
+    assert "codec" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ("dim", "--label", "1,a"),
     ("patterns", "--label", "2,,0"),
@@ -168,7 +186,7 @@ def test_selftest_filter(capsys):
 
 def test_selftest_unknown_suite(capsys):
     code, _, err = run_cli(capsys, "selftest", "--suite", "nope")
-    assert code == 1 and "unknown suite" in err
+    assert code == 2 and "invalid choice" in err and "nope" in err
 
 
 def test_selftest_reports_injected_fault(capsys, monkeypatch):

@@ -268,6 +268,15 @@ class TestCouplingTables:
                        tuple(enumerate_patterns(IrrepLabel(h))[0]
                              for h in ((1, 0, 0), (1, 1, 0), (1, 1, 1))), 2)
 
+    def test_triple_that_does_not_couple(self):
+        labels = ((1, 0, 0), (1, 0, 0), (1, 1, 0))
+        assert coupling_table(labels).rho_count == 0
+        pats = tuple(enumerate_patterns(IrrepLabel(h))[0] for h in labels)
+        with pytest.raises(DomainError, match="do not couple"):
+            su3_wigner(labels, pats, 1)
+        with pytest.raises(DomainError, match="do not couple"):
+            su3_isoscalar(labels, ((1, 0), (1, 0), (1, 1)), 1)
+
     def test_paths_agree(self):
         labels = ((1, 0, 0), (1, 1, 0), (2, 1, 0))
         pats = [enumerate_patterns(IrrepLabel(h)) for h in labels]

@@ -155,13 +155,25 @@ class TestExtraction:
         x, y = xvar(2, 1), yvar(2, 1)
         p = (ExactPoly.variable(x) * zp(1, 1)
              + ExactPoly.variable(y) * zp(1, 2))
-        got = p.extract_coefficient(mono_from_map({x: 1}),
-                                    lambda v: v[0] in ("x", "y"))
-        assert got == zp(1, 1)
+        assert p.split_parameters() == {mono_from_map({x: 1}): zp(1, 1),
+                                        mono_from_map({y: 1}): zp(1, 2)}
 
     def test_empty_target_is_identity_on_free_polys(self):
         p = zp(1, 1) ** 2 + 3 * zp(2, 2)
-        assert p.extract_coefficient((), lambda v: v[0] in ("x", "y")) == p
+        assert p.split_parameters() == {(): p}
+        assert ExactPoly().split_parameters() == {}
+
+    def test_split_recombines(self):
+        x, y = ExactPoly.variable(xvar(3, 2)), ExactPoly.variable(yvar(2, 1))
+        p = (x * zp(1, 1) + y) ** 3 * (zp(2, 1) + x * y - 2)
+        parts = p.split_parameters()
+        assert all(not any(v[0] == "z" for v, _ in m) for m in parts)
+        assert all(v[0] == "z" for q in parts.values()
+                   for m in q.terms for v, _ in m)
+        total = ExactPoly()
+        for m, q in parts.items():
+            total = total + ExactPoly.monomial(m) * q
+        assert total == p
 
     def test_text_form(self):
         p = zp(1, 1) * zp(2, 2) - zp(1, 2) * zp(2, 1)
