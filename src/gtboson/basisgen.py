@@ -24,6 +24,7 @@ from .gelfand import (
     DomainError,
     GelfandPattern,
     IrrepLabel,
+    LRExponents,
     _phi_bits,
     as_label,
     as_pattern,
@@ -272,31 +273,30 @@ def _branch_family(top: tuple[int, ...],
     return branching_kernel(IrrepLabel(top), IrrepLabel(row)).split_parameters()
 
 
-@lru_cache(maxsize=None)
-def _raw_basis(rows: tuple[tuple[int, ...], ...]) -> tuple[ExactPoly, Fraction]:
-    """Kernel coefficient for a pattern, no sign convention applied."""
-    p = require_valid(GelfandPattern(rows))
+def _branch_poly(p: GelfandPattern) -> ExactPoly:
+    """Kernel coefficient of a valid pattern, no sign convention applied:
+    its entry in the branch family of its top two rows."""
     if p.n == 1:
-        poly = ExactPoly.variable(zvar(1, 1)) ** p.top[0]
-        return poly, bargmann_inner(poly, poly)
+        return ExactPoly.variable(zvar(1, 1)) ** p.top[0]
     poly = _branch_family(p.top, p.row(p.n - 1)).get(pattern_phi(p.lower()))
     if poly is None:
         raise DomainError(f"kernel extraction produced zero for {p!r}")
-    return poly, bargmann_inner(poly, poly)
+    return poly
 
 
-def _sign_fixed(p: GelfandPattern, poly: ExactPoly, norm_sq: Fraction) -> BasisPolynomial:
+def _finish(p: GelfandPattern, poly: ExactPoly) -> BasisPolynomial:
+    """The basis polynomial of p: poly signed so that its highest monomial
+    is positive, with its Bargmann norm squared."""
     if poly.leading_coefficient() < 0:
         poly = -poly
-    return BasisPolynomial(p, poly, norm_sq)
+    return BasisPolynomial(p, poly, bargmann_inner(poly, poly))
 
 
 def basis_from_branching(pattern) -> BasisPolynomial:
     """Gel'fand basis polynomial by branching-kernel extraction, for any
     valid U(n) pattern with n <= 4 (the generic oracle)."""
     p = require_valid(as_pattern(pattern))
-    poly, nsq = _raw_basis(p.rows)
-    return _sign_fixed(p, poly, nsq)
+    return _finish(p, _branch_poly(p))
 
 
 def u2_basis_closed(pattern) -> BasisPolynomial:
@@ -308,7 +308,7 @@ def u2_basis_closed(pattern) -> BasisPolynomial:
     h11 = p.row(1)[0]
     d = _upper_minors(2)
     poly = d[(1,)] ** (h11 - h22) * d[(2,)] ** (h12 - h11) * d[1, 2] ** h22
-    return _sign_fixed(p, poly, bargmann_inner(poly, poly))
+    return _finish(p, poly)
 
 
 def u3_basis_closed(pattern) -> BasisPolynomial:
@@ -333,7 +333,7 @@ def u3_basis_closed(pattern) -> BasisPolynomial:
         acc = acc + c * (d[(1,)] ** i * d[(2,)] ** (r31 - i)
                          * d[1, 3] ** j * d[2, 3] ** (l32 - j))
     poly = acc * fixed
-    return _sign_fixed(p, poly, bargmann_inner(poly, poly))
+    return _finish(p, poly)
 
 
 def _u4_interior(p: GelfandPattern):
@@ -401,7 +401,7 @@ def u4_basis_closed(pattern) -> BasisPolynomial:
     poly = acc * fixed
     if poly.is_zero():
         raise DomainError(f"empty five-index sum for {p!r}")
-    return _sign_fixed(p, poly, bargmann_inner(poly, poly))
+    return _finish(p, poly)
 
 
 def _multinom(*parts: int) -> int:
@@ -417,32 +417,27 @@ def _multinom(*parts: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def p_n_1(pattern) -> int:
-    """Closed-form combinatorial factor of the basis recurrence.
+def _pn1_product(lr: LRExponents) -> int:
+    """P_n(1) from the exponent table of a U(n) pattern: the product over
+    rows l = 2..n-1 and k = 1..l-1 of C(R_{l+1,k} + L_{l+1,k+1}, R_{l,k}),
+    i.e. C(h_{k,l} - h_{k+1,l}, h_{k,l-1} - h_{k+1,l})."""
+    out = 1
+    for lam in range(2, max(lam for lam, _ in lr.R)):
+        for k in range(1, lam):
+            out *= math.comb(lr.R[(lam + 1, k)] + lr.L[(lam + 1, k + 1)],
+                             lr.R[(lam, k)])
+    return out
 
-    n=3: C(h12-h22, h11-h22).
-    n=4 and n=5: the products of binomial coefficients obtained by expanding
-    the parameter mirror of the branching kernel level by level.
-    """
+
+def p_n_1(pattern) -> int:
+    """Closed-form combinatorial factor of the basis recurrence, for any
+    valid U(n) pattern with n >= 3: the product of binomial coefficients
+    obtained by expanding the parameter mirror of the branching kernel
+    level by level (n=3: C(h12-h22, h11-h22))."""
     p = require_valid(as_pattern(pattern))
-    lr = lr_exponents(p)
-    if p.n == 3:
-        return math.comb(lr.R[(3, 1)] + lr.L[(3, 2)], lr.R[(2, 1)])
-    if p.n == 4:
-        low = lr_exponents(p.lower())
-        a = lr.R[(4, 1)] + lr.L[(4, 2)]
-        b = lr.R[(4, 2)] + lr.L[(4, 3)]
-        return (math.comb(a, low.R[(3, 1)]) * math.comb(b, low.L[(3, 2)])
-                * math.comb(low.R[(3, 1)] + low.L[(3, 2)], low.R[(2, 1)]))
-    if p.n == 5:
-        low = lr_exponents(p.lower())
-        a1 = lr.R[(5, 1)] + lr.L[(5, 2)]
-        a2 = lr.R[(5, 2)] + lr.L[(5, 3)]
-        a3 = lr.R[(5, 3)] + lr.L[(5, 4)]
-        head = (math.comb(a1, low.R[(4, 1)]) * math.comb(a2, low.R[(4, 2)])
-                * math.comb(a3, low.L[(4, 3)]))
-        return head * p_n_1(p.lower())
-    raise DomainError("p_n_1 is defined for n in {3, 4, 5}")
+    if p.n < 3:
+        raise DomainError("p_n_1 is defined for n >= 3")
+    return _pn1_product(lr_exponents(p))
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,8 @@ from .selftest import SUITES, run_all
 
 _GROUPS = {"u1": 1, "u2": 2, "u3": 3, "u4": 4, "u5": 5}
 _FORMATS = ("json", "csv", "text")
+# `patterns` refuses a label with more patterns than this before enumerating.
+_MAX_PATTERNS = 100_000
 
 
 class _UsageError(Exception):
@@ -113,6 +115,10 @@ def _json_text(obj) -> str:
 
 def _cmd_patterns(args) -> str:
     label = _parse_label(args.label, args.group)
+    count = weyl_dimension(label)
+    if count > _MAX_PATTERNS:
+        raise DomainError(f"label {args.label} has {count} patterns, more "
+                          f"than the limit of {_MAX_PATTERNS}")
     pats = enumerate_patterns(label)
     if args.format == "json":
         return _json_text({"label": list(label.h), "count": len(pats),

@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .basisgen import _raw_basis
+from .basisgen import _branch_poly
 from .gelfand import (
     ConsistencyError,
     DomainError,
@@ -210,14 +210,18 @@ class CouplingTable:
     """
 
     def __init__(self, labels, rho_count: int, k3_values: tuple[int, ...],
-                 k_vectors: tuple[tuple[int, ...], ...],
                  entries: dict[tuple, SqrtRational]):
         self.labels = tuple(as_label(l) for l in labels)
         self.rho_count = rho_count
         self.k3_values = k3_values
-        self.k_vectors = k_vectors
         self.entries = entries
         self.normalization = "gram-block-unitary"
+
+    @property
+    def k_vectors(self) -> tuple[tuple[int, ...], ...]:
+        """The invariant exponent vector of each multiplicity, in rho order."""
+        family = _k_family(self.labels)
+        return tuple(family[k3] for k3 in self.k3_values)
 
     def value(self, patterns, rho: int) -> SqrtRational:
         key = tuple(as_pattern(p).rows for p in patterns) + (rho,)
@@ -252,11 +256,12 @@ class CouplingTable:
         for e in obj["entries"]:
             key = tuple(tuple(tuple(r) for r in p["rows"]) for p in e["patterns"])
             entries[key + (e["rho"],)] = SqrtRational.from_json(e["value"])
-        return cls(labels=[IrrepLabel(h) for h in obj["labels"]],
-                   rho_count=obj["rho_count"],
-                   k3_values=tuple(obj["k3_values"]),
-                   k_vectors=(),
-                   entries=entries)
+        labels = [IrrepLabel(h) for h in obj["labels"]]
+        k3_values = tuple(obj["k3_values"])
+        if k3_values != tuple(sorted(_k_family(labels))):
+            raise ValueError("serialized k3 values do not match the labels")
+        return cls(labels=labels, rho_count=obj["rho_count"],
+                   k3_values=k3_values, entries=entries)
 
     def to_csv(self) -> str:
         lines = ["pattern1,pattern2,pattern3,rho,value"]
@@ -316,18 +321,21 @@ def _slot_projection(label: IrrepLabel, slot: int, scale: int):
     Maps each monomial u of the label's basis polynomials, tagged into
     `slot`, to its (pattern index * scale, <b_p, u>) pairs, where
     <b_p, u> = coef_{b_p}(u) * prod e! over u's exponents.  Also returns the
-    norms squared in pattern order.  Everything is an integer."""
+    norms squared <b_p, b_p> = sum over u of coef_{b_p}(u) * <b_p, u>, in
+    pattern order.  Everything is an integer."""
     proj: dict[Monomial, list[tuple[int, int]]] = {}
     nsq = []
     for i, p in enumerate(patterns_of(label)):
-        poly, n = _raw_basis(p.rows)
-        nsq.append(_as_int(n, "norm"))
-        for m, c in poly.terms.items():
-            v = _as_int(c, "basis")
+        norm = 0
+        for m, c in _branch_poly(p).terms.items():
+            c = _as_int(c, "basis")
+            v = c
             for _, e in m:
                 v *= _fact(e)
+            norm += c * v
             u = tuple(((kind, slot, a, b), e) for (kind, _, a, b), e in m)
             proj.setdefault(u, []).append((i * scale, v))
+        nsq.append(norm)
     return proj, nsq
 
 
@@ -370,7 +378,7 @@ def _table_cached(h1: tuple, h2: tuple, h3: tuple) -> CouplingTable:
     family = _k_family(labels)
     k3_values = tuple(sorted(family))
     if not k3_values:
-        return CouplingTable(labels, 0, (), (), {})
+        return CouplingTable(labels, 0, (), {})
     pats = [patterns_of(l) for l in labels]
     d12, d2 = len(pats[0]) * len(pats[1]), len(pats[1])
     (proj1, n1), (proj2, n2), (proj3, n3) = (
@@ -434,8 +442,7 @@ def _table_cached(h1: tuple, h2: tuple, h3: tuple) -> CouplingTable:
                 key = (pats[0][i1].rows, pats[1][i2].rows, pats[2][i3].rows,
                        rho0 + 1)
                 entries[key] = val
-    return CouplingTable(labels, len(k3_values), k3_values,
-                         tuple(family[k3] for k3 in k3_values), entries)
+    return CouplingTable(labels, len(k3_values), k3_values, entries)
 
 
 def coupling_table(labels) -> CouplingTable:

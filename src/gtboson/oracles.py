@@ -20,8 +20,8 @@ from typing import Iterable, Sequence
 from .basisgen import (
     BasisPolynomial,
     _branch_family,
+    _finish,
     _prefixes,
-    _sign_fixed,
     _upper_minors,
     norm_sq_u3,
 )
@@ -41,7 +41,6 @@ from .polyengine import (
     ExactPoly,
     Monomial,
     SqrtRational,
-    bargmann_inner,
     mono_from_map,
     mono_mul,
     xvar,
@@ -509,7 +508,7 @@ def u3_basis_hypergeometric(pattern) -> BasisPolynomial:
                 * d[1, 3] ** (h23 - h22 - k) * d[2, 3] ** k)
         acc = acc + coeff * term
     poly = acc * (d[1, 2] ** h22 * d[(3,)] ** (h13 - h12))
-    return _sign_fixed(p, poly, bargmann_inner(poly, poly))
+    return _finish(p, poly)
 
 
 def u4_free_index_count(pattern) -> int:

@@ -20,7 +20,6 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Callable, Mapping, Sequence
 
 __all__ = [
@@ -111,27 +110,17 @@ def _frac(c) -> Fraction:
     raise TypeError(f"expected exact rational coefficient, got {type(c)!r}")
 
 
-def mono_lex_cmp(m1: Monomial, m2: Monomial) -> int:
-    """Lexicographic comparison: walking variables in canonical order, the
-    first variable with differing exponents decides, larger exponent first."""
-    i = j = 0
-    while i < len(m1) and j < len(m2):
-        v1, e1 = m1[i]
-        v2, e2 = m2[j]
-        if v1 != v2:
-            return 1 if v1 < v2 else -1
-        if e1 != e2:
-            return 1 if e1 > e2 else -1
-        i += 1
-        j += 1
-    if i < len(m1):
-        return 1
-    if j < len(m2):
-        return -1
-    return 0
+# Sorts after every (VarId, exponent) pair, so a monomial that extends
+# another sorts before it.
+_END = ((("~",),),)
 
 
-_MONO_KEY = cmp_to_key(mono_lex_cmp)
+def _mono_order(m: Monomial) -> tuple:
+    """Sort key of a monomial, highest first: walking variables in canonical
+    order, the first variable with differing exponents decides, an earlier
+    variable or a larger exponent ranking higher."""
+    return tuple((v, -e) for v, e in m) + _END
+
 
 # Sorts after each (x or y variable, exponent) pair, before each z pair.
 _Z_FIRST = (("z",),)
@@ -270,7 +259,7 @@ class ExactPoly:
         dominate, larger exponents first)."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=_MONO_KEY)
+        return min(self.terms, key=_mono_order)
 
     def leading_coefficient(self) -> Fraction:
         return self.terms[self.leading_monomial()]
@@ -310,7 +299,7 @@ class ExactPoly:
         if not self.terms:
             return "0"
         parts = []
-        for m in sorted(self.terms, key=_MONO_KEY, reverse=True):
+        for m in sorted(self.terms, key=_mono_order):
             c = self.terms[m]
             if m == ONE:
                 parts.append(str(c))

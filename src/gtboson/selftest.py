@@ -23,6 +23,8 @@ from .polyengine import (
     minor,
     mono_text,
     symbolic_matrix,
+    xvar,
+    yvar,
 )
 
 __all__ = ["SuiteResult", "run_all", "SUITES",
@@ -50,16 +52,16 @@ def _labels_upto(n: int, hmax: int):
 # -- 1. dimension vs enumeration --------------------------------------------
 
 
-def suite_dimensions(nmax: int = 5, hmax: int = 4) -> SuiteResult:
+def suite_dimensions() -> SuiteResult:
     checks = 0
-    for n in range(1, nmax + 1):
-        for label in _labels_upto(n, hmax):
+    for n in range(1, 6):
+        for label in _labels_upto(n, 4):
             if len(enumerate_patterns(label)) != gelfand.weyl_dimension(label):
                 return SuiteResult("dimension-enumeration", False, checks,
                                    f"mismatch at {label!r}")
             checks += 1
     return SuiteResult("dimension-enumeration", True, checks,
-                       f"n<={nmax}, h1<={hmax}")
+                       "n<=5, h1<=4")
 
 
 # -- 2. generating-function golden fixtures ---------------------------------
@@ -132,7 +134,7 @@ GOLDEN_PHI_N5 = {
 }
 
 
-def suite_generating_function(_=None) -> SuiteResult:
+def suite_generating_function() -> SuiteResult:
     checks = 0
     for n, golden in ((3, GOLDEN_PHI_N3), (4, GOLDEN_PHI_N4), (5, GOLDEN_PHI_N5)):
         words = gelfand.enumerate_fundamental_words(n)
@@ -153,7 +155,7 @@ def suite_generating_function(_=None) -> SuiteResult:
 # -- 3. orthonormality and norm formulas -------------------------------------
 
 
-def suite_orthonormality(_=None) -> SuiteResult:
+def suite_orthonormality() -> SuiteResult:
     checks = 0
     for label in _labels_upto(2, 4):
         basis = [basisgen.basis_from_branching(p) for p in patterns_of(label)]
@@ -196,7 +198,7 @@ def suite_orthonormality(_=None) -> SuiteResult:
 # -- 4. closed forms vs branching oracle -------------------------------------
 
 
-def suite_closed_forms(_=None) -> SuiteResult:
+def suite_closed_forms() -> SuiteResult:
     checks = 0
     for p in patterns_of(IrrepLabel((2, 1, 0))):
         a = basisgen.basis_from_branching(p)
@@ -261,26 +263,18 @@ def _pn1_rows_from_exponents(n: int, exps) -> tuple[tuple, tuple]:
     return tuple(top), tuple(a)
 
 
-def _pn1_closed_direct(n: int, sums, mono: Monomial) -> int:
-    """Closed evaluation factor computed straight from the level-n group
-    powers and a parameter monomial of the mirror expansion."""
+def _pn1_table(n: int, sums: tuple, mono: Monomial) -> gelfand.LRExponents:
+    """Exponent table of a mirror monomial under the level-n group powers:
+    R_n^k carries sums[k-1] and L_n^(k+1) is zero (only their sum enters),
+    and below level n, R is read off the y and L off the x variables."""
     e = dict(mono)
-
-    def g(kind, lam, mu):
-        return e.get((kind, 0, lam, mu), 0)
-
-    r21 = g("y", 2, 1)
-    if n == 3:
-        return math.comb(sums[0], r21)
-    r31, l32 = g("y", 3, 1), g("x", 3, 2)
-    tail3 = math.comb(r31 + l32, r21)
-    if n == 4:
-        return math.comb(sums[0], r31) * math.comb(sums[1], l32) * tail3
-    r41, r42, l43 = g("y", 4, 1), g("y", 4, 2), g("x", 4, 3)
-    l42 = g("x", 4, 2)
-    return (math.comb(sums[0], r41) * math.comb(sums[1], r42)
-            * math.comb(sums[2], l43)
-            * math.comb(r41 + l42, r31) * math.comb(r42 + l43, l32) * tail3)
+    R = {(n, k): sums[k - 1] for k in range(1, n - 1)}
+    L = {(n, k + 1): 0 for k in range(1, n - 1)}
+    for lam in range(2, n):
+        for mu in range(1, lam):
+            R[(lam, mu)] = e.get(yvar(lam, mu), 0)
+            L[(lam, mu)] = e.get(xvar(lam, mu), 0)
+    return gelfand.LRExponents(L, R)
 
 
 @lru_cache(maxsize=None)
@@ -296,7 +290,7 @@ def _mirror_power(n: int, sums: tuple) -> ExactPoly:
 
 def _pn1_sweep(n: int, bound: int) -> int:
     """Every monomial of every mirror expansion with the acting exponents
-    bounded must carry the closed-form evaluation factor as coefficient;
+    bounded must carry the library's evaluation-factor product as coefficient;
     a sample of monomials per expansion is additionally pushed through the
     full pattern reconstruction and the public p_n_1."""
     checks = 0
@@ -309,7 +303,7 @@ def _pn1_sweep(n: int, bound: int) -> int:
         if sums not in done_sums:
             done_sums.add(sums)
             for mono, coeff in expansion.terms.items():
-                if coeff != _pn1_closed_direct(n, sums, mono):
+                if coeff != basisgen._pn1_product(_pn1_table(n, sums, mono)):
                     raise AssertionError(f"pn1 mismatch at {top}/{row} {mono}")
                 checks += 1
         # independently drive the public closed form on sampled patterns
@@ -327,7 +321,7 @@ def _pn1_sweep(n: int, bound: int) -> int:
     return checks
 
 
-def suite_pn1(_=None) -> SuiteResult:
+def suite_pn1() -> SuiteResult:
     checks = 0
     try:
         checks += _pn1_sweep(3, 3)
@@ -350,7 +344,7 @@ def suite_pn1(_=None) -> SuiteResult:
 # -- 6. five free indices in the U(4) sum -------------------------------------
 
 
-def suite_u4_free_indices(_=None) -> SuiteResult:
+def suite_u4_free_indices() -> SuiteResult:
     checks = 0
     labels = [h for h in itertools.combinations_with_replacement(
         range(2, -1, -1), 4) if max(h) >= 1]
@@ -366,9 +360,9 @@ def suite_u4_free_indices(_=None) -> SuiteResult:
 # -- 7. SU(2) three-j vs the factorial-sum oracle -----------------------------
 
 
-def suite_su2_threej(tjmax: int = 6) -> SuiteResult:
+def suite_su2_threej() -> SuiteResult:
     checks = 0
-    for tj1, tj2, tj3 in itertools.product(range(tjmax + 1), repeat=3):
+    for tj1, tj2, tj3 in itertools.product(range(7), repeat=3):
         if (tj1 + tj2 + tj3) % 2:
             continue
         for tm1 in range(-tj1, tj1 + 1, 2):
@@ -469,7 +463,7 @@ def _block_sums(table, labels):
                     yield (rho, rho2, i3, j3), acc
 
 
-def suite_su3_coupling(_=None) -> SuiteResult:
+def suite_su3_coupling() -> SuiteResult:
     checks = 0
     for labels in _SU3_CASES:
         table = coupling.coupling_table(labels)
@@ -517,7 +511,8 @@ def suite_su3_coupling(_=None) -> SuiteResult:
 # -- 9. kernel identity --------------------------------------------------------
 
 
-def suite_kernel_identity(dmax: int = 3) -> SuiteResult:
+def suite_kernel_identity() -> SuiteResult:
+    dmax = 3
     checks = 0
     z = symbolic_matrix(2, slot=0)
     u = symbolic_matrix(2, slot=1)

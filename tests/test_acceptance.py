@@ -14,7 +14,7 @@ def _criterion(number, description, result):
 
 def test_criterion_1_dimension_enumeration():
     _criterion(1, "pattern count equals Weyl dimension, n<=5 h1<=4",
-               selftest.suite_dimensions(5, 4))
+               selftest.suite_dimensions())
 
 
 def test_criterion_2_generating_function_fixtures():
@@ -44,7 +44,7 @@ def test_criterion_6_u4_free_indices():
 
 def test_criterion_7_su2_threej():
     _criterion(7, "generating-function 3-j equals Racah oracle, j<=3",
-               selftest.suite_su2_threej(6))
+               selftest.suite_su2_threej())
 
 
 def test_criterion_8_su3_coupling():
@@ -54,4 +54,4 @@ def test_criterion_8_su3_coupling():
 
 def test_criterion_9_kernel_identity():
     _criterion(9, "reproducing-kernel identity for U(2), degree <= 3",
-               selftest.suite_kernel_identity(3))
+               selftest.suite_kernel_identity())

@@ -237,6 +237,11 @@ class TestPn1:
             for p in enumerate_patterns(IrrepLabel(h)):
                 assert p_n_1(p) == p_n_1_oracle(p)
 
+    def test_oracle_agreement_u6(self):
+        for h in itertools.combinations_with_replacement(range(2, -1, -1), 6):
+            for p in enumerate_patterns(IrrepLabel(h)):
+                assert p_n_1(p) == p_n_1_oracle(p)
+
     def test_rank_limits(self):
         with pytest.raises(DomainError):
             p_n_1([[1, 0], [0]])

@@ -37,6 +37,19 @@ def test_patterns_json_round_trip(capsys):
     assert data["count"] == 3 and len(data["patterns"]) == 3
 
 
+def test_patterns_refuses_a_label_over_the_limit(capsys, monkeypatch):
+    # 692,680,351 patterns: refused from the Weyl dimension, before any
+    # enumeration starts
+    def enumerate_patterns(label):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(cli, "enumerate_patterns", enumerate_patterns)
+    code, out, err = run_cli(capsys, "patterns", "--label", "30,20,10,0,0")
+    assert code == 1 and out == ""
+    assert err == ("error: label 30,20,10,0,0 has 692680351 patterns, more "
+                   "than the limit of 100000\n")
+
+
 def test_basis_json_round_trip(capsys):
     from gtboson.basisgen import BasisPolynomial, basis_from_branching
 

@@ -3,6 +3,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtboson.coupling import (
     CouplingTable,
@@ -35,6 +37,7 @@ from gtboson.gelfand import (
     enumerate_patterns,
     lr_exponents,
     weight,
+    weyl_dimension,
 )
 from gtboson.polyengine import ExactPoly, SqrtRational, xvar, yvar
 
@@ -90,6 +93,27 @@ class TestRacahOracle:
             racah_threej_oracle(0.3, 0.5, 0.5, -0.5, 0, 0)
 
 
+def _sympy_check():
+    """A check of su2_threej against sympy's wigner_3j on doubled arguments,
+    exact in the squared value and the sign; skips without sympy."""
+    wigner = pytest.importorskip("sympy.physics.wigner")
+    from sympy import Rational
+
+    def check(tj1, tm1, tj2, tm2, tj3, tm3):
+        args = (tj1, tm1, tj2, tm2, tj3, tm3)
+        want = wigner.wigner_3j(*(Rational(t, 2)
+                                  for t in (tj1, tj2, tj3, tm1, tm2, tm3)))
+        # sympy writes the value as rational * sqrt(positive rational)
+        coeff = want.as_coeff_Mul()[0]
+        sq = want ** 2
+        got = su2_threej(spin_pattern(tj1, tm1), spin_pattern(tj2, tm2),
+                         spin_pattern(tj3, tm3))
+        assert got.squared() == Fraction(int(sq.p), int(sq.q)), args
+        assert got.sign() == (coeff.p > 0) - (coeff.p < 0), args
+
+    return check
+
+
 class TestSu2ThreeJ:
     def test_half_spin_magnitude(self):
         v = su2_threej(spin_pattern(1, 1), spin_pattern(1, -1),
@@ -128,6 +152,24 @@ class TestSu2ThreeJ:
                         Fraction(tj2, 2), Fraction(tm2, 2),
                         Fraction(tj3, 2), Fraction(tm3, 2))
                     assert got == want
+
+    def test_equals_sympy_through_j6(self):
+        check = _sympy_check()
+        for tj1, tj2, tj3 in itertools.product(range(13), repeat=3):
+            if (tj1 + tj2 + tj3) % 2:
+                continue
+            for tm1 in range(-tj1, tj1 + 1, 2):
+                for tm2 in range(-tj2, tj2 + 1, 2):
+                    tm3 = -tm1 - tm2
+                    if abs(tm3) <= tj3:
+                        check(tj1, tm1, tj2, tm2, tj3, tm3)
+
+    @pytest.mark.parametrize("tjm", [
+        (60, 0, 60, 0, 60, 0), (60, 2, 58, -4, 40, 2),
+        (60, 60, 60, -60, 0, 0), (60, -31, 41, 17, 30, 14),
+    ])
+    def test_equals_sympy_at_j30(self, tjm):
+        _sympy_check()(*tjm)
 
     def test_shifted_labels_reduce(self):
         # [2,1] has spin 1/2; the 3-j only sees the spin content
@@ -302,6 +344,15 @@ class TestCouplingTables:
         assert back.entries == table.entries
         assert back.rho_count == table.rho_count
 
+    def test_json_round_trip_keeps_k_vectors(self):
+        table = coupling_table(((2, 1, 0),) * 3)
+        back = CouplingTable.from_json(table.to_json())
+        assert back.k_vectors == table.k_vectors == (
+            (1, 0, 0, 1, 1, 0, 0), (0, 1, 1, 0, 0, 1, 0))
+        data = table.to_json() | {"k3_values": [0, 5]}
+        with pytest.raises(ValueError, match="k3 values"):
+            CouplingTable.from_json(data)
+
     def test_csv_deterministic(self):
         t1 = coupling_table(((1, 0, 0), (1, 0, 0), (1, 0, 0))).to_csv()
         t2 = coupling_table(((1, 0, 0), (1, 0, 0), (1, 0, 0))).to_csv()
@@ -320,6 +371,36 @@ PINNED_CSV_SHA256 = {
 }
 
 
+def _check_block_unitary(table) -> int:
+    """Assert exact block unitarity and orthogonality of a table: over the
+    first two slots, each (rho, third pattern) block has unit norm and
+    distinct blocks pair to zero.  Returns the number of blocks."""
+    blocks: dict = {}
+    for (r1, r2, r3, rho), val in table.entries.items():
+        blocks.setdefault((rho, r3), {})[(r1, r2)] = val
+    items = sorted(blocks.items())
+    for a, (bkey, block) in enumerate(items):
+        for ckey, other in items[a:]:
+            # sum of q*sqrt(1/m) terms, grouped by square-free m: zero
+            # only if every group is
+            acc: dict = {}
+            for pq, val in block.items():
+                if pq in other:
+                    prod = val * other[pq]
+                    acc[prod.r] = acc.get(prod.r, Fraction(0)) + prod.q
+            acc = {r: q for r, q in acc.items() if q}
+            expect = {Fraction(1): Fraction(1)} if bkey == ckey else {}
+            assert acc == expect, (bkey, ckey)
+    return len(blocks)
+
+
+# Every triple of U(3) labels with h1 <= 2 and h3 = 0 that couples.
+_SMALL_COUPLING_TRIPLES = [
+    t for t in itertools.product(
+        [(h1, h2, 0) for h1 in range(3) for h2 in range(h1 + 1)], repeat=3)
+    if coupling._k_family(t)]
+
+
 class TestPinnedTables:
     @pytest.mark.parametrize("labels", list(PINNED_CSV_SHA256))
     def test_csv_digest(self, labels):
@@ -328,10 +409,9 @@ class TestPinnedTables:
             PINNED_CSV_SHA256[labels]
 
     def test_non_integer_basis_coefficient_is_refused(self, monkeypatch):
-        raw = coupling._raw_basis
-        monkeypatch.setattr(coupling, "_raw_basis",
-                            lambda rows: (raw(rows)[0] * Fraction(1, 2),
-                                          raw(rows)[1]))
+        raw = coupling._branch_poly
+        monkeypatch.setattr(coupling, "_branch_poly",
+                            lambda p: raw(p) * Fraction(1, 2))
         with pytest.raises(ConsistencyError, match="not an integer"):
             # uncached, so the patched basis is used
             coupling._table_cached.__wrapped__((1, 0, 0), (1, 1, 0),
@@ -341,23 +421,14 @@ class TestPinnedTables:
         labels = ((4, 2, 0),) * 3
         table = coupling_table(labels)
         assert table.rho_count == 3
-        blocks: dict = {}
-        for (r1, r2, r3, rho), val in table.entries.items():
-            blocks.setdefault((rho, r3), {})[(r1, r2)] = val
-        assert len(blocks) == 3 * 27
-        items = sorted(blocks.items())
-        for a, (bkey, block) in enumerate(items):
-            for ckey, other in items[a:]:
-                # sum of q*sqrt(1/m) terms, grouped by square-free m: zero
-                # only if every group is
-                acc: dict = {}
-                for pq, val in block.items():
-                    if pq in other:
-                        prod = val * other[pq]
-                        acc[prod.r] = acc.get(prod.r, Fraction(0)) + prod.q
-                acc = {r: q for r, q in acc.items() if q}
-                expect = {Fraction(1): Fraction(1)} if bkey == ckey else {}
-                assert acc == expect, (bkey, ckey)
+        assert _check_block_unitary(table) == 3 * 27
+
+    @given(st.sampled_from(_SMALL_COUPLING_TRIPLES))
+    @settings(deadline=None)
+    def test_small_tables_block_unitary(self, labels):
+        table = coupling_table(labels)
+        assert _check_block_unitary(table) == \
+            table.rho_count * weyl_dimension(labels[2])
 
 
 class TestIsoscalars:

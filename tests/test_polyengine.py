@@ -181,6 +181,33 @@ class TestExtraction:
         assert mono_text(()) == "1"
 
 
+class TestMonomialOrder:
+    """Text and leading monomial of polynomials whose monomials extend one
+    another (not homogeneous); strings recorded with the comparator-based
+    order that the sort key replaced."""
+
+    @pytest.mark.parametrize("build, text, lead", [
+        (lambda: 1 + zp(1, 1) + zp(1, 1) * zp(1, 2) + zp(1, 1) ** 2,
+         "z[1,1]^2 + z[1,1]*z[1,2] + z[1,1] + 1", "z[1,1]^2"),
+        (lambda: (zp(1, 2) - 3 + zp(1, 1) * zp(2, 2) ** 2
+                  + Fraction(1, 2) * zp(1, 1) * zp(1, 2) * zp(2, 2)),
+         "1/2 * z[1,1]*z[1,2]*z[2,2] + z[1,1]*z[2,2]^2 + z[1,2] - 3",
+         "z[1,1]*z[1,2]*z[2,2]"),
+        (lambda: (ExactPoly.variable(xvar(2, 1)) * zp(1, 1)
+                  + ExactPoly.variable(yvar(2, 1))
+                  + ExactPoly.variable(xvar(2, 1))
+                  + 2 * ExactPoly.variable(xvar(2, 1)) ** 2 - zp(2, 2)),
+         "2 * x(2,1)^2 + x(2,1)*z[1,1] + x(2,1) + y(2,1) - z[2,2]",
+         "x(2,1)^2"),
+        (lambda: zp(2, 1) * zp(2, 2) + zp(2, 1) - zp(2, 1) ** 2 * zp(2, 2) + 5,
+         "-z[2,1]^2*z[2,2] + z[2,1]*z[2,2] + z[2,1] + 5", "z[2,1]^2*z[2,2]"),
+    ])
+    def test_text_and_leading_monomial(self, build, text, lead):
+        p = build()
+        assert p.text() == text
+        assert mono_text(p.leading_monomial()) == lead
+
+
 small_fracs = st.fractions(min_value=-100, max_value=100, max_denominator=60)
 pos_fracs = st.fractions(min_value=0, max_value=400, max_denominator=60)
 
