@@ -5,22 +5,14 @@ multiplicity, all in exact rational / quadratic-surd arithmetic."""
 __version__ = "0.1.0"
 
 from .gelfand import (
-    BinaryWord,
-    ComplementIsVacuum,
     ConsistencyError,
     DomainError,
     GelfandPattern,
     IrrepLabel,
     StructureError,
-    complement,
-    enumerate_fundamental_words,
     enumerate_patterns,
     lr_exponents,
-    max_pattern,
-    min_pattern,
     pattern_phi,
-    phi_monomial,
-    physics_labels,
     semimax_pattern,
     validate_pattern,
     weight,
@@ -28,10 +20,8 @@ from .gelfand import (
 )
 from .polyengine import (
     ExactPoly,
-    GaussianRational,
     SqrtRational,
     bargmann_inner,
-    diagonal_degrees,
     minor,
     symbolic_matrix,
 )
@@ -40,8 +30,6 @@ from .basisgen import (
     basis_from_branching,
     branching_kernel,
     const_A,
-    const_branching_ratio,
-    d_semimax_eval,
     norm_sq_semimax,
     norm_sq_u2,
     norm_sq_u3,

@@ -8,8 +8,8 @@ parameter monomial, which yields the basis of every pattern under its two
 top rows.  Closed single-sum (U(3)) and five-index (U(4)) forms are tested
 against this kernel route, the authoritative oracle.
 
-Normalization constants are exact rationals; the square root appears only in
-the SqrtRational values handed to callers.
+Normalization constants are exact rationals; each basis polynomial carries
+its norm squared, never a square root.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ from .gelfand import (
 )
 from .polyengine import (
     ExactPoly,
-    GaussianRational,
     Monomial,
-    SqrtRational,
     bargmann_inner,
     minor,
     symbolic_matrix,
@@ -46,7 +44,6 @@ from .polyengine import (
 __all__ = [
     "BasisPolynomial",
     "const_A",
-    "const_branching_ratio",
     "branching_kernel",
     "basis_from_branching",
     "u2_basis_closed",
@@ -57,8 +54,6 @@ __all__ = [
     "norm_sq_semimax",
     "norm_sq_max",
     "p_n_1",
-    "DSemimaxValue",
-    "d_semimax_eval",
 ]
 
 _fact = math.factorial
@@ -159,16 +154,6 @@ def norm_sq_max(label) -> Fraction:
     if n == 1:
         return Fraction(_fact(label.h[0]))
     return norm_sq_semimax(label, IrrepLabel(label.h[: n - 1]))
-
-
-def const_branching_ratio(label, branch) -> Fraction:
-    """Ratio constant of the branching kernel for a label pair, fixed by the
-    requirement that the extracted polynomials have unit norm after the
-    normalization chain: A * ||semimax||^2 * ||max of branch||^2."""
-    label = as_label(label)
-    branch = as_label(branch)
-    _check_branching(label, branch)
-    return const_A(label) * norm_sq_semimax(label, branch) * norm_sq_max(branch)
 
 
 def norm_sq_u2(pattern) -> Fraction:
@@ -438,51 +423,3 @@ def p_n_1(pattern) -> int:
     if p.n < 3:
         raise DomainError("p_n_1 is defined for n >= 3")
     return _pn1_product(lr_exponents(p))
-
-
-# ---------------------------------------------------------------------------
-# Semi-maximal matrix-element evaluation on exact complex rational matrices.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DSemimaxValue:
-    """Exact value of a semi-maximal matrix element: (re + i*im) where both
-    parts are SqrtRational with a common radicand."""
-
-    re: SqrtRational
-    im: SqrtRational
-
-
-def d_semimax_eval(label, branch, U) -> DSemimaxValue:
-    """Matrix element between the semi-maximal state (row n-1 = branch,
-    maximal below) and the highest-weight state, evaluated on an exact
-    matrix U of Gaussian rationals.
-
-    Value = prod_k (principal k-minor)^(h'_k - h_{k+1})
-          * prod_k (rows 1..k, cols 1..k-1,n minor)^(h_k - h'_k)
-          * sqrt(||max||^2 / ||semimax||^2).
-
-    Unitarity of U is the caller's concern and is not enforced.
-    """
-    label = as_label(label)
-    branch = as_label(branch)
-    _check_branching(label, branch)
-    n = label.n
-    mat = [[v if isinstance(v, GaussianRational) else GaussianRational(Fraction(v))
-            for v in row] for row in U]
-    if len(mat) != n or any(len(row) != n for row in mat):
-        raise ValueError(f"U must be {n}x{n}")
-    val = GaussianRational(Fraction(1))
-    for k in range(1, n):
-        rk = branch.h[k - 1] - label.h[k]
-        if rk:
-            val = val * minor(mat, tuple(range(1, k + 1)),
-                              tuple(range(1, k + 1))) ** rk
-    for k in range(1, n + 1):
-        lk = (label.h[k - 1] - branch.h[k - 1]) if k < n else label.h[n - 1]
-        if lk:
-            cols = tuple(range(1, k)) + (n,)
-            val = val * minor(mat, tuple(range(1, k + 1)), cols) ** lk
-    scale = SqrtRational.sqrt(norm_sq_max(label) / norm_sq_semimax(label, branch))
-    return DSemimaxValue(re=scale * val.re, im=scale * val.im)

@@ -76,7 +76,7 @@ def _load_config(path: str | None) -> dict[str, str]:
     """Optional key=value configuration (keys: group, format)."""
     path = path or os.environ.get("GTBOSON_CONFIG")
     conf: dict[str, str] = {}
-    if path and os.path.exists(path):
+    if path:
         try:
             with open(path, encoding="utf-8") as fh:
                 for line in fh:

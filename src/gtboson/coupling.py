@@ -68,7 +68,6 @@ __all__ = [
     "coupling_table",
     "su3_wigner",
     "su3_isoscalar",
-    "conjugate_label",
 ]
 
 _fact = math.factorial
@@ -515,13 +514,3 @@ def _bottom_choices(labels, rows):
         for b2 in ranges[1]:
             for b3 in ranges[2]:
                 yield (b1, b2, b3)
-
-
-def conjugate_label(label) -> IrrepLabel:
-    """Conjugate U(3) label in its minimal non-negative embedding:
-    [h1-h3, h1-h2, 0]."""
-    l = as_label(label)
-    if l.n != 3:
-        raise DomainError("conjugate_label is for U(3) labels")
-    h1, h2, h3 = l.h
-    return IrrepLabel((h1 - h3, h1 - h2, 0))

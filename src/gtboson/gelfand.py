@@ -3,9 +3,8 @@
 A pattern is a triangular integer array with rows of length n down to 1,
 adjacent rows interleaving (the Weyl branching law).  This module covers
 pattern enumeration, weights, the Weyl dimension formula, the raising and
-lowering exponent tables, and the binary encoding of the fundamental
-representations together with the parameter monomials that drive the
-generating-function machinery.
+lowering exponent tables, and the parameter monomials of patterns and of
+the 0/1 words that drive the generating-function machinery.
 
 All objects are immutable; all operations are pure functions.
 """
@@ -14,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -24,24 +22,16 @@ __all__ = [
     "StructureError",
     "DomainError",
     "ConsistencyError",
-    "ComplementIsVacuum",
     "IrrepLabel",
     "GelfandPattern",
     "LRExponents",
-    "BinaryWord",
     "validate_pattern",
     "enumerate_patterns",
     "weyl_dimension",
     "weight",
-    "max_pattern",
-    "min_pattern",
     "semimax_pattern",
     "lr_exponents",
-    "enumerate_fundamental_words",
-    "phi_monomial",
     "pattern_phi",
-    "complement",
-    "physics_labels",
     "patterns_of",
 ]
 
@@ -57,10 +47,6 @@ class DomainError(ValueError):
 class ConsistencyError(Exception):
     """Two routes, or a route and its own invariant, disagree: a fault in
     the library, not in its input (deliberately not a ValueError)."""
-
-
-class ComplementIsVacuum(ValueError):
-    """The all-ones word complements to the vacuum, not to a word."""
 
 
 @dataclass(frozen=True)
@@ -231,19 +217,6 @@ def weight(p) -> tuple[int, ...]:
     return tuple(sums[i] - sums[i - 1] for i in range(1, p.n + 1))
 
 
-def max_pattern(label) -> GelfandPattern:
-    """Highest-weight pattern: every row repeats the top entries."""
-    label = as_label(label)
-    return GelfandPattern([label.h[:k] for k in range(label.n, 0, -1)])
-
-
-def min_pattern(label) -> GelfandPattern:
-    """Lowest-weight pattern: row of length s takes the last s top entries."""
-    label = as_label(label)
-    n = label.n
-    return GelfandPattern([label.h[n - s:] for s in range(n, 0, -1)])
-
-
 def semimax_pattern(label, sub) -> GelfandPattern:
     """Pattern with prescribed row n-1 and maximal filling below it."""
     label = as_label(label)
@@ -286,55 +259,14 @@ def lr_exponents(p) -> LRExponents:
     return LRExponents(L, R)
 
 
-@dataclass(frozen=True)
-class BinaryWord:
-    """n-bit word, not all zero, encoding the minor on rows 1..k and the
-    columns where the ones sit (k = popcount)."""
-
-    bits: tuple[int, ...]
-
-    def __init__(self, bits):
-        if isinstance(bits, str):
-            bits = tuple(int(b) for b in bits)
-        else:
-            bits = tuple(int(b) for b in bits)
-        if not bits or any(b not in (0, 1) for b in bits):
-            raise StructureError("word bits must be 0/1 and non-empty")
-        if not any(bits):
-            raise StructureError("the all-zero word is excluded")
-        object.__setattr__(self, "bits", bits)
-
-    @property
-    def n(self) -> int:
-        return len(self.bits)
-
-    def popcount(self) -> int:
-        return sum(self.bits)
-
-    def columns(self) -> tuple[int, ...]:
-        """1-indexed positions of the ones (the minor's column set)."""
-        return tuple(i + 1 for i, b in enumerate(self.bits) if b)
-
-    def __str__(self):
-        return "".join(str(b) for b in self.bits)
-
-    def __repr__(self):
-        return f"BinaryWord('{self}')"
-
-
-def enumerate_fundamental_words(n: int) -> list[BinaryWord]:
-    """All 2**n - 1 nonzero words, sorted by popcount then bit string.
-    Grouping by popcount p gives the C(n, p) basis words of the p-th
-    fundamental representation [1,...,1,0,...,0]."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    words = [BinaryWord(tuple((i >> (n - 1 - k)) & 1 for k in range(n)))
-             for i in range(1, 2 ** n)]
-    words.sort(key=lambda w: (w.popcount(), w.bits))
-    return words
-
-
 def _phi_bits(bits: Sequence[int], slot: int) -> Monomial:
+    """Parameter monomial of a 0/1 word in the generating function.
+
+    Scanning boxes left to right: a zero that follows at least one one
+    contributes y(pos, #ones before it); a one that follows at least one
+    zero contributes x(pos, 1 + #ones before it).  The all-ones word (the
+    determinant) carries the empty monomial.
+    """
     exps: dict = {}
     seen_one = False
     seen_zero = False
@@ -354,17 +286,6 @@ def _phi_bits(bits: Sequence[int], slot: int) -> Monomial:
     return mono_from_map(exps)
 
 
-def phi_monomial(w: BinaryWord, slot: int = 0) -> Monomial:
-    """Parameter monomial attached to a word in the generating function.
-
-    Scanning boxes left to right: a zero that follows at least one one
-    contributes y(pos, #ones before it); a one that follows at least one
-    zero contributes x(pos, 1 + #ones before it).  The all-ones word (the
-    determinant) carries the empty monomial.
-    """
-    return _phi_bits(w.bits, slot)
-
-
 def pattern_phi(p, slot: int = 0) -> Monomial:
     """Parameter monomial of a pattern: the product over levels lam = 2..n of
     x(lam,mu)^L * y(lam,mu)^R for mu < lam.  Determinant powers are fixed by
@@ -380,38 +301,6 @@ def pattern_phi(p, slot: int = 0) -> Monomial:
         if e:
             exps[yvar(lam, mu, slot)] = e
     return mono_from_map(exps)
-
-
-def complement(w: BinaryWord) -> BinaryWord:
-    """Bitwise complement; the all-ones word complements to the vacuum and
-    raises ComplementIsVacuum."""
-    if all(w.bits):
-        raise ComplementIsVacuum(f"complement of {w} is the vacuum state")
-    return BinaryWord(tuple(1 - b for b in w.bits))
-
-
-def physics_labels(p) -> dict:
-    """Angular-momentum / particle-physics quantum numbers of a pattern.
-
-    SU(2): (j, m) with 2j = h12 - h22 and m = h11 - (h12 + h22)/2.
-    SU(3): (I, I3, Y, B) with 2I = h12 - h22, I3 = h11 - (h12 + h22)/2,
-    B = (top-row sum)/3 and Y = h12 + h22 - 2B.
-    """
-    p = require_valid(p)
-    if p.n == 2:
-        h12, h22 = p.row(2)
-        h11 = p.row(1)[0]
-        return {"j": Fraction(h12 - h22, 2),
-                "m": Fraction(2 * h11 - h12 - h22, 2)}
-    if p.n == 3:
-        h12, h22 = p.row(2)
-        h11 = p.row(1)[0]
-        b = Fraction(sum(p.top), 3)
-        return {"I": Fraction(h12 - h22, 2),
-                "I3": Fraction(2 * h11 - h12 - h22, 2),
-                "Y": h12 + h22 - 2 * b,
-                "B": b}
-    raise DomainError(f"physics labels are defined for n in {{2, 3}}, not n={p.n}")
 
 
 @lru_cache(maxsize=None)

@@ -5,9 +5,11 @@ parameters x(lam,mu), y(lam,mu).  Each variable additionally carries a slot
 index so that three tensor factors can live in one ring without collisions
 (slot 0 is used for single-group work, slots 1..3 for coupling).
 
-Coefficients are `fractions.Fraction`; all operations are exact.  Square
-roots never enter the ring: they are confined to `SqrtRational`, which is
-the carrier for norms and coupling coefficients at the API boundary.
+Coefficients are `fractions.Fraction`; all operations are exact.  Minors
+of the symbolic matrix and the Fock-Bargmann pairing work on `ExactPoly`
+only; the ring has no other number type.  Square roots never enter the
+ring: they are confined to `SqrtRational`, which is the carrier for norms
+and coupling coefficients at the API boundary.
 
 Everything here is immutable value data; all functions are pure and safe to
 call from multiple threads.
@@ -27,7 +29,6 @@ __all__ = [
     "Monomial",
     "ExactPoly",
     "SqrtRational",
-    "GaussianRational",
     "zvar",
     "xvar",
     "yvar",
@@ -37,7 +38,6 @@ __all__ = [
     "minor",
     "symbolic_matrix",
     "bargmann_inner",
-    "diagonal_degrees",
     "squarefree_split",
 ]
 
@@ -321,14 +321,13 @@ def symbolic_matrix(n: int, slot: int = 0) -> list[list[ExactPoly]]:
             for r in range(1, n + 1)]
 
 
-def minor(mat: Sequence[Sequence], rows: Sequence[int], cols: Sequence[int]):
-    """Determinant of the submatrix on `rows` x `cols` (1-indexed), by
-    Laplace expansion along the first selected row.
+def minor(mat: Sequence[Sequence[ExactPoly]], rows: Sequence[int],
+          cols: Sequence[int]) -> ExactPoly:
+    """Determinant of the `ExactPoly` submatrix on `rows` x `cols`
+    (1-indexed), by Laplace expansion along the first selected row.
 
-    Entries may be any ring values with +, - and * (`ExactPoly`,
-    `GaussianRational`); the sum starts from the first cofactor term, so no
-    ring zero is needed.  Row/column index lists must be non-empty, strictly
-    increasing and of equal length.
+    Row/column index lists must be non-empty, strictly increasing and of
+    equal length.
     """
     if len(rows) != len(cols):
         raise ValueError("minor requires equally many rows and columns")
@@ -375,36 +374,6 @@ def bargmann_inner(p: ExactPoly, q: ExactPoly) -> Fraction:
             w *= math.factorial(e)
         total += cp * cq * w
     return total
-
-
-def diagonal_degrees(p: ExactPoly, ncols: int | None = None) -> list[int]:
-    """Per-column z-degrees of a column-homogeneous polynomial.
-
-    Column j's degree is the total exponent of all z[.,j] variables; it must
-    be the same in every term, otherwise a ValueError names the first column
-    that fails.
-    """
-    if p.is_zero():
-        return [0] * (ncols or 0)
-    if ncols is None:
-        ncols = max((v[3] for m in p.terms for v, _ in m if v[0] == "z"),
-                    default=0)
-
-    def column_degrees(m: Monomial) -> list[int]:
-        d = [0] * ncols
-        for v, e in m:
-            if v[0] == "z":
-                d[v[3] - 1] += e
-        return d
-
-    terms = iter(p.terms)
-    degrees = column_degrees(next(terms))
-    for m in terms:
-        d = column_degrees(m)
-        if degrees != d:
-            bad = next(j for j in range(ncols) if degrees[j] != d[j])
-            raise ValueError(f"polynomial is not homogeneous in column {bad + 1}")
-    return degrees
 
 
 # ---------------------------------------------------------------------------
@@ -614,61 +583,3 @@ class SqrtRational:
 
     def __repr__(self):
         return f"SqrtRational({self.text()})"
-
-
-@dataclass(frozen=True)
-class GaussianRational:
-    """Complex number with exact rational real and imaginary parts."""
-
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "re", _frac(self.re))
-        object.__setattr__(self, "im", _frac(self.im))
-
-    def __add__(self, other) -> "GaussianRational":
-        other = self._coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other) -> "GaussianRational":
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other) -> "GaussianRational":
-        other = self._coerce(other)
-        return GaussianRational(self.re * other.re - self.im * other.im,
-                                self.re * other.im + self.im * other.re)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "GaussianRational":
-        if k < 0:
-            raise ValueError("negative power of GaussianRational not supported")
-        out = GaussianRational(Fraction(1))
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    @staticmethod
-    def _coerce(other) -> "GaussianRational":
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(_frac(other))
-        raise TypeError(f"cannot coerce {type(other)!r} to GaussianRational")

@@ -8,8 +8,7 @@ from gtboson.basisgen import (
     basis_from_branching,
     branching_kernel,
     const_A,
-    const_branching_ratio,
-    d_semimax_eval,
+    norm_sq_max,
     norm_sq_semimax,
     norm_sq_u2,
     norm_sq_u3,
@@ -36,9 +35,7 @@ from gtboson.oracles import (
 )
 from gtboson.polyengine import (
     ExactPoly,
-    GaussianRational,
     bargmann_inner,
-    diagonal_degrees,
     minor,
     symbolic_matrix,
 )
@@ -48,6 +45,11 @@ def zp(r, c):
     return ExactPoly.variable(("z", 0, r, c))
 
 
+def branching_ratio(label, row):
+    """Kernel ratio constant A * ||semimax||^2 * ||max of row||^2."""
+    return const_A(label) * norm_sq_semimax(label, row) * norm_sq_max(row)
+
+
 class TestConstants:
     def test_const_a_values(self):
         assert const_A([1, 0]) == 1
@@ -55,11 +57,11 @@ class TestConstants:
         assert const_A([0, 0, 0]) > 0
 
     def test_branching_ratio_trivial(self):
-        assert const_branching_ratio([0, 0], [0]) == 1
-        assert const_branching_ratio([1, 0], [1]) == 1
+        assert branching_ratio([0, 0], [0]) == 1
+        assert branching_ratio([1, 0], [1]) == 1
 
     def test_branching_ratio_octet(self):
-        v = const_branching_ratio([2, 1, 0], [2, 1])
+        v = branching_ratio([2, 1, 0], [2, 1])
         assert isinstance(v, Fraction) and v > 0
 
     def test_branching_ratio_consistency(self):
@@ -70,7 +72,7 @@ class TestConstants:
             for p in enumerate_patterns(label):
                 b = basis_from_branching(p)
                 lhs = const_A(label) * b.norm_sq * norm_sq_u2(p.lower())
-                assert lhs == const_branching_ratio(label, p.rows[1])
+                assert lhs == branching_ratio(label, p.rows[1])
 
 
 class TestU2Basis:
@@ -148,8 +150,11 @@ class TestU3Basis:
 
     def test_weights_match_column_degrees(self):
         for p in enumerate_patterns([2, 1, 0]):
-            b = basis_from_branching(p)
-            assert tuple(diagonal_degrees(b.poly, 3)) == weight(p)
+            for m in basis_from_branching(p).poly.terms:
+                degrees = [0, 0, 0]
+                for (_, _, _, col), e in m:
+                    degrees[col - 1] += e
+                assert tuple(degrees) == weight(p)
 
 
 class TestU4Basis:
@@ -245,37 +250,6 @@ class TestPn1:
     def test_rank_limits(self):
         with pytest.raises(DomainError):
             p_n_1([[1, 0], [0]])
-
-
-class TestDSemimax:
-    def test_identity_on_max(self):
-        v = d_semimax_eval([2, 1, 0], [2, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        assert v.re.squared() == 1 and v.re.sign() == 1 and v.im.is_zero()
-
-    def test_diagonal_matrix(self):
-        d = [[2, 0], [0, 3]]
-        v = d_semimax_eval([2, 1], [2], d)
-        # weight of the semimax pattern [[2,1],[2]] is (2,1)
-        assert v.re.squared() == (2 ** 2 * 3) ** 2 and v.im.is_zero()
-
-    def test_rotation_entries(self):
-        u = [[Fraction(3, 5), Fraction(4, 5)], [Fraction(-4, 5), Fraction(3, 5)]]
-        top = d_semimax_eval([1, 0], [1], u)
-        bottom = d_semimax_eval([1, 0], [0], u)
-        assert top.re.squared() == Fraction(9, 25) and top.re.sign() == 1
-        assert bottom.re.squared() == Fraction(16, 25) and bottom.re.sign() == 1
-
-    def test_complex_entries(self):
-        i = GaussianRational(0, 1)
-        u = [[i, GaussianRational(0)], [GaussianRational(0), i]]
-        v = d_semimax_eval([1, 0], [1], u)
-        assert v.re.is_zero() and v.im.squared() == 1
-
-    def test_unitary_rows_sum_to_one(self):
-        # |D(top)|^2 + |D(bottom)|^2 = 1 for a unitary 2x2 input
-        u = [[Fraction(3, 5), Fraction(4, 5)], [Fraction(-4, 5), Fraction(3, 5)]]
-        total = sum(d_semimax_eval([1, 0], [b], u).re.squared() for b in (0, 1))
-        assert total == 1
 
 
 class TestConcurrency:

@@ -157,12 +157,19 @@ def test_config_value_outside_choices_is_a_usage_error(tmp_path, capsys, line,
     assert err == f"error: config {line} is not one of {allowed}\n"
 
 
-def test_config_directory_is_a_usage_error(tmp_path, capsys):
-    code, out, err = run_cli(capsys, "--config", str(tmp_path), "dim",
-                             "--label", "2,1,0")
-    assert code == 2 and out == ""
-    assert err.startswith(f"error: cannot read config {tmp_path}: ")
-    assert err.count("\n") == 1
+def test_config_directory_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # a directory, then a missing file named by --config and by GTBOSON_CONFIG
+    for path, via_env in ((tmp_path, False), (tmp_path / "missing", False),
+                          (tmp_path / "missing", True)):
+        if via_env:
+            monkeypatch.setenv("GTBOSON_CONFIG", str(path))
+            argv = ("dim", "--label", "2,1,0")
+        else:
+            argv = ("--config", str(path), "dim", "--label", "2,1,0")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read config {path}: ")
+        assert err.count("\n") == 1
 
 
 def test_config_undecodable_is_a_usage_error(tmp_path, capsys):

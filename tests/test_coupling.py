@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from gtboson.coupling import (
     CouplingTable,
     IsoscalarUndefined,
-    conjugate_label,
     coupling_table,
     su2_threej,
     su3_isoscalar,
@@ -466,11 +465,3 @@ class TestIsoscalars:
     def test_invalid_row_rejected(self):
         with pytest.raises(DomainError):
             su3_isoscalar(((2, 1, 0),) * 3, ((2, 2), (2, 1), (2, 1)), 1)
-
-
-class TestConjugateLabel:
-    def test_fundamental(self):
-        assert conjugate_label([1, 0, 0]).h == (1, 1, 0)
-
-    def test_octet_self_conjugate(self):
-        assert conjugate_label([2, 1, 0]).h == (2, 1, 0)

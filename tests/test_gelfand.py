@@ -1,24 +1,16 @@
 import itertools
-from fractions import Fraction
 
 import pytest
 
 from gtboson.gelfand import (
-    BinaryWord,
-    ComplementIsVacuum,
     DomainError,
     GelfandPattern,
     IrrepLabel,
     StructureError,
-    complement,
-    enumerate_fundamental_words,
+    _phi_bits,
     enumerate_patterns,
     lr_exponents,
-    max_pattern,
-    min_pattern,
     pattern_phi,
-    phi_monomial,
-    physics_labels,
     semimax_pattern,
     validate_pattern,
     weight,
@@ -79,7 +71,7 @@ class TestEnumeration:
 
 class TestWeights:
     def test_max_pattern_weight_is_label(self):
-        assert weight(max_pattern([2, 1, 0])) == (2, 1, 0)
+        assert weight(GelfandPattern([[2, 1, 0], [2, 1], [2]])) == (2, 1, 0)
 
     def test_min_pattern_weight(self):
         assert weight(GelfandPattern([[2, 1, 0], [1, 0], [0]])) == (0, 1, 2)
@@ -92,9 +84,8 @@ class TestWeights:
             assert sum(weight(p)) == 4
 
     def test_max_is_maximal_in_first_difference_order(self):
-        label = IrrepLabel([2, 1, 0])
-        wmax = weight(max_pattern(label))
-        for p in enumerate_patterns(label):
+        wmax = weight(GelfandPattern([[2, 1, 0], [2, 1], [2]]))
+        for p in enumerate_patterns([2, 1, 0]):
             diff = [a - b for a, b in zip(wmax, weight(p))]
             nonzero = [d for d in diff if d]
             if nonzero:
@@ -102,23 +93,18 @@ class TestWeights:
 
 
 class TestExtremePatterns:
-    def test_max_copies_down(self):
-        assert max_pattern([2, 1, 0]).rows == ((2, 1, 0), (2, 1), (2,))
-
-    def test_min_closed_filling(self):
-        assert min_pattern([2, 1, 0]).rows == ((2, 1, 0), (1, 0), (0,))
-
     def test_min_agrees_with_enumerated_minimum(self):
-        for h in [(2, 1, 0), (3, 1, 1), (2, 2, 0), (1, 1, 0, 0)]:
-            label = IrrepLabel(h)
-            pats = enumerate_patterns(label)
+        lowest = [((2, 1, 0), (1, 0), (0,)), ((3, 1, 1), (1, 1), (1,)),
+                  ((2, 2, 0), (2, 0), (0,)), ((1, 1, 0, 0), (1, 0, 0), (0, 0), (0,))]
+        for rows in lowest:
+            pats = enumerate_patterns(rows[0])
 
             def leq(wa, wb):
                 diff = [a - b for a, b in zip(wa, wb)]
                 nz = [d for d in diff if d]
                 return not nz or nz[0] < 0
 
-            wmin = weight(min_pattern(label))
+            wmin = weight(GelfandPattern(rows))
             assert all(leq(wmin, weight(p)) for p in pats)
 
     def test_semimax(self):
@@ -135,11 +121,11 @@ class TestLRExponents:
         assert lr.L[(2, 1)] == 1 and lr.R[(2, 1)] == 1
 
     def test_max_pattern_has_no_drops(self):
-        lr = lr_exponents(max_pattern([3, 2, 1]))
+        lr = lr_exponents([[3, 2, 1], [3, 2], [3]])
         assert all(v == 0 for (lam, mu), v in lr.L.items() if mu < lam)
 
     def test_min_pattern_has_no_raises(self):
-        lr = lr_exponents(min_pattern([3, 2, 1]))
+        lr = lr_exponents([[3, 2, 1], [2, 1], [1]])
         assert all(v == 0 for v in lr.R.values())
 
     def test_validity_iff_nonnegative(self):
@@ -152,42 +138,21 @@ class TestLRExponents:
             assert nonneg is expected is validate_pattern(p)
 
 
-class TestWords:
-    def test_count_n2(self):
-        words = enumerate_fundamental_words(2)
-        assert {str(w) for w in words} == {"10", "01", "11"}
-
-    def test_count_n3(self):
-        assert len(enumerate_fundamental_words(3)) == 7
-
-    def test_popcount_groups(self):
-        words = enumerate_fundamental_words(4)
-        assert sum(1 for w in words if w.popcount() == 2) == 6
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(StructureError):
-            BinaryWord("000")
-
-    def test_columns(self):
-        assert BinaryWord("1010").columns() == (1, 3)
-
-
 class TestPhiMonomial:
     def test_word_1010(self):
-        assert mono_text(phi_monomial(BinaryWord("1010"))) == \
-            "x(3,2)*y(2,1)*y(4,2)"
+        assert mono_text(_phi_bits((1, 0, 1, 0), 0)) == "x(3,2)*y(2,1)*y(4,2)"
 
     def test_word_0011(self):
-        assert mono_text(phi_monomial(BinaryWord("0011"))) == "x(3,1)*x(4,2)"
+        assert mono_text(_phi_bits((0, 0, 1, 1), 0)) == "x(3,1)*x(4,2)"
 
     def test_determinant_word_is_constant(self):
-        assert phi_monomial(BinaryWord("111")) == ()
+        assert _phi_bits((1, 1, 1), 0) == ()
 
     def test_pattern_phi_su2(self):
         assert mono_text(pattern_phi([[2, 0], [1]])) == "x(2,1)*y(2,1)"
 
     def test_max_pattern_phi_has_no_x(self):
-        m = pattern_phi(max_pattern([2, 1, 0]))
+        m = pattern_phi([[2, 1, 0], [2, 1], [2]])
         assert all(v[0] == "y" for v, _ in m)
 
     def test_injective_per_label(self):
@@ -195,48 +160,6 @@ class TestPhiMonomial:
             pats = enumerate_patterns(h)
             monos = {pattern_phi(p) for p in pats}
             assert len(monos) == len(pats)
-
-
-class TestComplement:
-    def test_bitwise(self):
-        assert str(complement(BinaryWord("110"))) == "001"
-
-    def test_two_bit(self):
-        assert str(complement(BinaryWord("01"))) == "10"
-
-    def test_all_ones_is_vacuum(self):
-        with pytest.raises(ComplementIsVacuum):
-            complement(BinaryWord("111"))
-
-    def test_involution(self):
-        for w in enumerate_fundamental_words(4):
-            if all(w.bits):
-                continue
-            if not any(complement(w).bits):
-                continue
-            assert complement(complement(w)) == w
-
-
-class TestPhysicsLabels:
-    def test_spin_up(self):
-        assert physics_labels([[1, 0], [1]]) == {"j": Fraction(1, 2),
-                                                 "m": Fraction(1, 2)}
-
-    def test_spin_down(self):
-        assert physics_labels([[1, 0], [0]]) == {"j": Fraction(1, 2),
-                                                 "m": Fraction(-1, 2)}
-
-    def test_trivial(self):
-        assert physics_labels([[0, 0], [0]]) == {"j": 0, "m": 0}
-
-    def test_proton_like_octet_state(self):
-        labels = physics_labels([[2, 1, 0], [2, 1], [2]])
-        assert labels == {"I": Fraction(1, 2), "I3": Fraction(1, 2),
-                          "Y": 1, "B": 1}
-
-    def test_unsupported_rank(self):
-        with pytest.raises(DomainError):
-            physics_labels(max_pattern([1, 0, 0, 0]))
 
 
 class TestJson:

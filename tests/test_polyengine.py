@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from gtboson.polyengine import (
     ExactPoly,
-    GaussianRational,
     SqrtRational,
     bargmann_inner,
-    diagonal_degrees,
     minor,
     mono_from_map,
     mono_text,
@@ -136,20 +134,6 @@ class TestBargmann:
         assert lhs == bargmann_inner(p1, p2) * bargmann_inner(q1, q2)
 
 
-class TestDiagonalDegrees:
-    def test_determinant_degrees(self):
-        z = symbolic_matrix(3)
-        assert diagonal_degrees(minor(z, (1, 2), (1, 2)), 3) == [1, 1, 0]
-
-    def test_pure_power(self):
-        assert diagonal_degrees(zp(1, 1) ** 3) == [3]
-
-    def test_inhomogeneous_names_column(self):
-        p = zp(1, 1) + zp(1, 2)
-        with pytest.raises(ValueError, match="column 1"):
-            diagonal_degrees(p, 2)
-
-
 class TestExtraction:
     def test_single_variable(self):
         x, y = xvar(2, 1), yvar(2, 1)
@@ -266,14 +250,3 @@ class TestSqrtRational:
         while d * d <= b:
             assert b % (d * d) != 0
             d += 1
-
-
-class TestGaussianRational:
-    def test_multiplication(self):
-        i = GaussianRational(0, 1)
-        assert i * i == GaussianRational(-1, 0)
-
-    def test_conjugation_and_power(self):
-        u = GaussianRational(Fraction(3, 5), Fraction(4, 5))
-        assert (u * u.conjugate()) == GaussianRational(1, 0)
-        assert u ** 2 == u * u

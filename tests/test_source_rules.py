@@ -1,9 +1,10 @@
 """Rules on the package source: no `assert` statements (they vanish under
-`python -O`), and the cross-check routes in `gtboson.oracles` stay out of
-the library modules and their exports."""
+`python -O`), the cross-check routes in `gtboson.oracles` stay out of the
+library modules and their exports, and the public surface is pinned."""
 
 import ast
 import pathlib
+import types
 
 import pytest
 
@@ -51,3 +52,26 @@ def test_import_rule_sees_every_import_form():
                                     coupling], ids=lambda m: m.__name__)
 def test_oracle_routes_are_not_library_surface(module):
     assert not set(vars(module)) & set(oracles.__all__)
+
+
+PUBLIC = {
+    "BasisPolynomial", "ConsistencyError", "CouplingTable", "DomainError",
+    "ExactPoly", "GelfandPattern", "IrrepLabel", "IsoscalarUndefined",
+    "SqrtRational", "StructureError", "bargmann_inner", "basis_from_branching",
+    "branching_kernel", "const_A", "coupling_table", "enumerate_patterns",
+    "lr_exponents", "minor", "norm_sq_semimax", "norm_sq_u2", "norm_sq_u3",
+    "p_n_1", "pattern_phi", "semimax_pattern", "su2_threej", "su3_isoscalar",
+    "su3_wigner", "symbolic_matrix", "u2_basis_closed", "u3_basis_closed",
+    "u4_basis_closed", "validate_pattern", "weight", "weyl_dimension",
+    "xi_invariant",
+}
+
+
+def test_public_surface_resolves_and_is_pinned():
+    # bench/spans.py wraps getattr(module, name) for every `__all__` entry
+    for module in (gelfand, polyengine, basisgen, coupling):
+        missing = [n for n in module.__all__ if not hasattr(module, n)]
+        assert not missing, f"{module.__name__}.__all__ names {missing}"
+    exported = {n for n, v in vars(gtboson).items()
+                if not n.startswith("_") and not isinstance(v, types.ModuleType)}
+    assert exported == PUBLIC
