@@ -5,11 +5,11 @@ parameters x(lam,mu), y(lam,mu).  Each variable additionally carries a slot
 index so that three tensor factors can live in one ring without collisions
 (slot 0 is used for single-group work, slots 1..3 for coupling).
 
-Coefficients are `fractions.Fraction`; all operations are exact.  Minors
-of the symbolic matrix and the Fock-Bargmann pairing work on `ExactPoly`
-only; the ring has no other number type.  Square roots never enter the
-ring: they are confined to `SqrtRational`, which is the carrier for norms
-and coupling coefficients at the API boundary.
+Coefficients are `fractions.Fraction`; all operations are exact.  `minor`
+and the Fock-Bargmann pairing take `ExactPoly` entries only; the ring has
+no other number type.  Square roots never enter the ring: they are
+confined to `SqrtRational`, which is the carrier for norms and coupling
+coefficients at the API boundary.
 
 Everything here is immutable value data; all functions are pure and safe to
 call from multiple threads.
