@@ -8,8 +8,9 @@ parameter monomial, which yields the basis of every pattern under its two
 top rows.  Closed single-sum (U(3)) and five-index (U(4)) forms are tested
 against this kernel route, the authoritative oracle.
 
-Normalization constants are exact rationals; each basis polynomial carries
-its norm squared, never a square root.
+Basis polynomials have integer coefficients and carry their integer norm
+squared, never a square root; the closed-form normalization constants are
+exact rationals.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ _fact = math.factorial
 
 @dataclass(frozen=True)
 class BasisPolynomial:
-    """Unnormalized basis polynomial with its exact Bargmann norm squared.
+    """Unnormalized basis polynomial with its integer Bargmann norm squared.
 
     The polynomial follows the sign convention that its highest monomial
     (canonical monomial order) has positive coefficient; dividing by
@@ -70,13 +71,13 @@ class BasisPolynomial:
 
     pattern: GelfandPattern
     poly: ExactPoly
-    norm_sq: Fraction
+    norm_sq: int
 
     def to_json(self) -> dict:
         return {
             "pattern": self.pattern.to_json(),
             "poly": self.poly.text(),
-            "norm_sq": f"{self.norm_sq.numerator}/{self.norm_sq.denominator}",
+            "norm_sq": f"{self.norm_sq}/1",
         }
 
     @classmethod
@@ -84,8 +85,7 @@ class BasisPolynomial:
         """Rebuild from the wire form; the pattern determines the polynomial,
         which is re-derived and checked against the serialized text."""
         b = basis_from_branching(GelfandPattern.from_json(obj["pattern"]))
-        if b.poly.text() != obj["poly"] or obj["norm_sq"] != \
-                f"{b.norm_sq.numerator}/{b.norm_sq.denominator}":
+        if b.poly.text() != obj["poly"] or obj["norm_sq"] != f"{b.norm_sq}/1":
             raise ValueError("serialized basis polynomial does not match "
                              "its pattern")
         return b

@@ -41,8 +41,11 @@ from .selftest import SUITES, run_all
 
 _GROUPS = {"u1": 1, "u2": 2, "u3": 3, "u4": 4, "u5": 5}
 _FORMATS = ("json", "csv", "text")
+_CONFIG_CHOICES = {"group": sorted(_GROUPS), "format": _FORMATS}
 # `patterns` refuses a label with more patterns than this before enumerating.
 _MAX_PATTERNS = 100_000
+# `threej` refuses a larger total spin j1 + j2 + j3 before expanding.
+_MAX_TOTAL_SPIN = 200
 
 
 class _UsageError(Exception):
@@ -73,7 +76,7 @@ def _parse_pattern(text: str) -> GelfandPattern:
 
 
 def _load_config(path: str | None) -> dict[str, str]:
-    """Optional key=value configuration (keys: group, format)."""
+    """Optional key=value configuration (keys: group, format; '#' comments)."""
     path = path or os.environ.get("GTBOSON_CONFIG")
     conf: dict[str, str] = {}
     if path:
@@ -81,14 +84,17 @@ def _load_config(path: str | None) -> dict[str, str]:
             with open(path, encoding="utf-8") as fh:
                 for line in fh:
                     line = line.strip()
-                    if not line or line.startswith("#") or "=" not in line:
+                    if not line or line.startswith("#"):
                         continue
-                    key, _, value = line.partition("=")
+                    key, eq, value = line.partition("=")
+                    if not eq or key.strip() not in _CONFIG_CHOICES:
+                        raise _UsageError(f"config {line} is not one of "
+                                          "group=..., format=...")
                     conf[key.strip()] = value.strip()
         except (OSError, UnicodeDecodeError) as exc:
             reason = getattr(exc, "strerror", None) or exc
             raise _UsageError(f"cannot read config {path}: {reason}") from None
-    for key, choices in (("group", sorted(_GROUPS)), ("format", _FORMATS)):
+    for key, choices in _CONFIG_CHOICES.items():
         if key in conf and conf[key] not in choices:
             raise _UsageError(f"config {key}={conf[key]} is not one of "
                               f"{', '.join(choices)}")
@@ -147,8 +153,7 @@ def _cmd_basis(args) -> str:
     b = basis_from_branching(p)
     if args.format == "json":
         return _json_text(b.to_json())
-    return (f"{b.poly.text()}\n"
-            f"norm_sq={b.norm_sq.numerator}/{b.norm_sq.denominator}\n")
+    return f"{b.poly.text()}\nnorm_sq={b.norm_sq}/1\n"
 
 
 def _cmd_pn1(args) -> str:
@@ -172,6 +177,9 @@ def _cmd_threej(args) -> str:
         if abs(tm) > tj:
             raise DomainError(f"|m| = {abs(m)} exceeds j = {j}")
         pats.append(GelfandPattern([[int(tj), 0], [int(tj + tm) // 2]]))
+    if sum(js) > _MAX_TOTAL_SPIN:
+        raise DomainError(f"total spin J = {sum(js)} is more than the limit "
+                          f"of {_MAX_TOTAL_SPIN}")
     value = su2_threej(*pats)
     oracle = racah_threej_oracle(*(x for jm in zip(js, ms) for x in jm))
     if value != oracle:

@@ -16,9 +16,9 @@ polynomials.  The pairing splits over disjoint slots,
 slot's basis is projected once onto its monomials (<b, u> is u's
 coefficient in b times the factorials of u's exponents), and each term of W
 is split into its three slot parts and contracted against those
-projections.  Basis and invariant coefficients are integers, so the
-pairings are accumulated as exact integers and divided by the basis norms
-only at the end; a non-integer coefficient raises ConsistencyError.  The
+projections.  Basis and invariant polynomials live in the integer ring
+`ExactPoly`, so the pairings are accumulated as exact integers and divided
+by the basis norms only at the end, where the values become rational.  The
 resulting rho-family is Gram orthonormalized, yielding tables that are
 exactly unitary block by block.
 
@@ -308,12 +308,6 @@ def _invariant_z(k: Sequence[int], labels) -> ExactPoly:
     return inv
 
 
-def _as_int(c: Fraction, what: str) -> int:
-    if c.denominator != 1:
-        raise ConsistencyError(f"{what} coefficient {c} is not an integer")
-    return c.numerator
-
-
 def _slot_projection(label: IrrepLabel, slot: int, scale: int):
     """Bargmann projections of one slot's basis onto single monomials.
 
@@ -327,7 +321,6 @@ def _slot_projection(label: IrrepLabel, slot: int, scale: int):
     for i, p in enumerate(patterns_of(label)):
         norm = 0
         for m, c in _branch_poly(p).terms.items():
-            c = _as_int(c, "basis")
             v = c
             for _, e in m:
                 v *= _fact(e)
@@ -354,7 +347,6 @@ def _contract(inv: ExactPoly, projs) -> dict[int, int]:
     proj1, proj2, proj3 = projs
     acc: dict[int, int] = {}
     for m, c in inv.terms.items():
-        c = _as_int(c, "invariant")
         a = bisect_left(m, _SLOT2)
         b = bisect_left(m, _SLOT3, a)
         l1 = proj1.get(m[:a])

@@ -469,25 +469,29 @@ def su3_wigner_generating(labels, patterns, rho: int = 1) -> Fraction:
 
 
 def norm_sq_u3_hypergeometric(pattern) -> Fraction:
-    """Norm squared of the hypergeometric-form U(3) polynomial (whose leading
-    series coefficient is one); defined on that form's domain, h33 = 0 and
-    h11 >= h23.  Differs from norm_sq_u3 by the square of the binomial
-    relating the two leading coefficients."""
+    """Norm squared of the hypergeometric-form U(3) polynomial (the 2F1
+    series times D, see u3_basis_hypergeometric); defined on that form's
+    domain, h33 = 0 and h11 >= h23.  Equals
+    norm_sq_u3 * (D / C(h12 - h23, h11 - h23))**2."""
     p = require_valid(as_pattern(pattern))
     if p.n != 3:
         raise DomainError("requires a U(3) pattern")
     h13, h23, h33 = p.row(3)
-    h12, _h22 = p.row(2)
+    h12, h22 = p.row(2)
     h11 = p.row(1)[0]
     if h33 != 0 or h11 < h23:
         raise DomainError("hypergeometric norm requires h33 = 0 and h11 >= h23")
-    scale = math.comb(h12 - h23, h11 - h23)
-    return norm_sq_u3(p) / (scale * scale)
+    kmax, c = min(h23 - h22, h12 - h11), h11 - h23 + 1
+    scale = Fraction(math.prod(range(c, c + kmax)) * _fact(kmax),
+                     math.comb(h12 - h23, h11 - h23))
+    return norm_sq_u3(p) * scale * scale
 
 
 def u3_basis_hypergeometric(pattern) -> BasisPolynomial:
     """U(3) basis via the terminating 2F1 form, valid for h33 = 0 and
-    h11 >= h23; other patterns are outside this form's domain."""
+    h11 >= h23; other patterns are outside this form's domain.  The series
+    is multiplied by its common denominator D = (c)_kmax * kmax!, so each
+    step's division must be exact (ConsistencyError otherwise)."""
     p = require_valid(as_pattern(pattern))
     if p.n != 3:
         raise DomainError("u3_basis_hypergeometric requires a U(3) pattern")
@@ -500,10 +504,14 @@ def u3_basis_hypergeometric(pattern) -> BasisPolynomial:
     a, b, c = h22 - h23, h11 - h12, h11 - h23 + 1
     kmax = min(h23 - h22, h12 - h11)
     acc = ExactPoly()
-    coeff = Fraction(1)
+    coeff = math.prod(range(c, c + kmax)) * _fact(kmax)
     for k in range(kmax + 1):
         if k:
-            coeff *= Fraction((a + k - 1) * (b + k - 1), (c + k - 1) * k)
+            coeff, rem = divmod(coeff * (a + k - 1) * (b + k - 1),
+                                (c + k - 1) * k)
+            if rem:
+                raise ConsistencyError(f"2F1 term {k} of {p!r} is not an "
+                                       "integer multiple of 1/D")
         term = (d[(1,)] ** (h11 - h23 + k) * d[(2,)] ** (h12 - h11 - k)
                 * d[1, 3] ** (h23 - h22 - k) * d[2, 3] ** k)
         acc = acc + coeff * term
@@ -595,8 +603,5 @@ def p_n_1_oracle(pattern) -> int:
     p = require_valid(as_pattern(pattern))
     if p.n < 3:
         raise DomainError("oracle defined for n >= 3")
-    val = _mirror_expansion(p.top, p.row(p.n - 1)).coefficient(
+    return _mirror_expansion(p.top, p.row(p.n - 1)).coefficient(
         pattern_phi(p.lower()))
-    if val.denominator != 1:
-        raise ConsistencyError(f"mirror coefficient {val} is not an integer")
-    return val.numerator

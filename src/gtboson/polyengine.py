@@ -5,11 +5,11 @@ parameters x(lam,mu), y(lam,mu).  Each variable additionally carries a slot
 index so that three tensor factors can live in one ring without collisions
 (slot 0 is used for single-group work, slots 1..3 for coupling).
 
-Coefficients are `fractions.Fraction`; all operations are exact.  `minor`
-and the Fock-Bargmann pairing take `ExactPoly` entries only; the ring has
-no other number type.  Square roots never enter the ring: they are
-confined to `SqrtRational`, which is the carrier for norms and coupling
-coefficients at the API boundary.
+Coefficients are `int` and nothing else (TypeError otherwise): every
+polynomial here is built from minors with integer weights.  `minor` and the
+Fock-Bargmann pairing take `ExactPoly` entries only and stay in the ring.
+Rationals live outside it, and square roots only in `SqrtRational`, the
+carrier for norms and coupling coefficients at the API boundary.
 
 Everything here is immutable value data; all functions are pure and safe to
 call from multiple threads.
@@ -22,6 +22,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Number
 from typing import Callable, Mapping, Sequence
 
 __all__ = [
@@ -127,37 +128,36 @@ _Z_FIRST = (("z",),)
 
 
 class ExactPoly:
-    """Sparse polynomial with exact rational coefficients.
+    """Sparse polynomial with integer coefficients.
 
-    Terms are held in a dict mapping Monomial -> Fraction with no zero
+    Terms are held in a dict mapping Monomial -> int with no zero
     coefficients stored.  Instances are treated as immutable values.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        clean: dict[Monomial, Fraction] = {}
-        if terms:
-            for m, c in terms.items():
-                c = _frac(c)
-                if c:
-                    clean[m] = c
+    def __init__(self, terms: Mapping[Monomial, int] | None = None):
+        clean: dict[Monomial, int] = {}
+        for m, c in (terms or {}).items():
+            if not isinstance(c, int):
+                raise TypeError(f"ExactPoly coefficients are int, got {c!r}")
+            if c:
+                clean[m] = c
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def const(cls, c) -> "ExactPoly":
-        c = _frac(c)
-        return cls({ONE: c}) if c else cls()
+    def const(cls, c: int) -> "ExactPoly":
+        return cls({ONE: c})
 
     @classmethod
     def variable(cls, v: VarId) -> "ExactPoly":
-        return cls({((v, 1),): Fraction(1)})
+        return cls({((v, 1),): 1})
 
     @classmethod
-    def monomial(cls, m: Monomial, c=1) -> "ExactPoly":
-        return cls({m: _frac(c)})
+    def monomial(cls, m: Monomial, c: int = 1) -> "ExactPoly":
+        return cls({m: c})
 
     # -- ring operations ---------------------------------------------------
 
@@ -167,7 +167,7 @@ class ExactPoly:
             return self
         acc = dict(self.terms)
         for m, c in other.terms.items():
-            s = acc.get(m, Fraction(0)) + c
+            s = acc.get(m, 0) + c
             if s:
                 acc[m] = s
             else:
@@ -186,13 +186,10 @@ class ExactPoly:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> "ExactPoly":
-        if isinstance(other, (int, Fraction)):
-            c = _frac(other)
-            if not c:
-                return ExactPoly()
-            return ExactPoly.__new_raw({m: k * c for m, k in self.terms.items()})
+        if isinstance(other, int):
+            return ExactPoly({m: k * other for m, k in self.terms.items()})
         other = self._coerce(other)
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, int] = {}
         if len(self.terms) > len(other.terms):
             big, small = self.terms, other.terms
         else:
@@ -200,7 +197,7 @@ class ExactPoly:
         for m2, c2 in small.items():
             for m1, c1 in big.items():
                 m = mono_mul(m1, m2)
-                s = acc.get(m, Fraction(0)) + c1 * c2
+                s = acc.get(m, 0) + c1 * c2
                 if s:
                     acc[m] = s
                 else:
@@ -223,7 +220,7 @@ class ExactPoly:
         return result
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Number):
             other = ExactPoly.const(other)
         if not isinstance(other, ExactPoly):
             return NotImplemented
@@ -237,14 +234,10 @@ class ExactPoly:
 
     @staticmethod
     def _coerce(other) -> "ExactPoly":
-        if isinstance(other, ExactPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ExactPoly.const(other)
-        raise TypeError(f"cannot coerce {type(other)!r} to ExactPoly")
+        return other if isinstance(other, ExactPoly) else ExactPoly.const(other)
 
     @classmethod
-    def __new_raw(cls, terms: dict[Monomial, Fraction]) -> "ExactPoly":
+    def __new_raw(cls, terms: dict[Monomial, int]) -> "ExactPoly":
         p = cls.__new__(cls)
         p.terms = terms
         return p
@@ -261,23 +254,23 @@ class ExactPoly:
             raise ValueError("zero polynomial has no leading monomial")
         return min(self.terms, key=_mono_order)
 
-    def leading_coefficient(self) -> Fraction:
+    def leading_coefficient(self) -> int:
         return self.terms[self.leading_monomial()]
 
-    def coefficient(self, m: Monomial) -> Fraction:
-        return self.terms.get(m, Fraction(0))
+    def coefficient(self, m: Monomial) -> int:
+        return self.terms.get(m, 0)
 
     def map_variables(self, fn: Callable[[VarId], VarId]) -> "ExactPoly":
         """Relabel variables through a map (e.g. retag slots); exponents of
         merged variables accumulate."""
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, int] = {}
         for m, c in self.terms.items():
             exps: dict[VarId, int] = {}
             for v, e in m:
                 w = fn(v)
                 exps[w] = exps.get(w, 0) + e
             nm = mono_from_map(exps)
-            acc[nm] = acc.get(nm, Fraction(0)) + c
+            acc[nm] = acc.get(nm, 0) + c
         return ExactPoly(acc)
 
     def split_parameters(self) -> dict[Monomial, "ExactPoly"]:
@@ -288,14 +281,14 @@ class ExactPoly:
         monomial is a prefix, found by bisection.  A z-only polynomial maps
         to {(): self}; the zero polynomial maps to {}.
         """
-        parts: dict[Monomial, dict[Monomial, Fraction]] = {}
+        parts: dict[Monomial, dict[Monomial, int]] = {}
         for m, c in self.terms.items():
             k = bisect_left(m, _Z_FIRST)
             parts.setdefault(m[:k], {})[m[k:]] = c
         return {m: ExactPoly.__new_raw(acc) for m, acc in parts.items()}
 
     def text(self) -> str:
-        """Canonical text form: terms sorted highest-first, exact coefficients."""
+        """Canonical text form: terms sorted highest-first."""
         if not self.terms:
             return "0"
         parts = []
@@ -356,15 +349,15 @@ def _det_expand(mat, rows: tuple[int, ...], cols: tuple[int, ...]):
     return acc
 
 
-def bargmann_inner(p: ExactPoly, q: ExactPoly) -> Fraction:
-    """Fock-Bargmann pairing of polynomials with rational coefficients.
+def bargmann_inner(p: ExactPoly, q: ExactPoly) -> int:
+    """Fock-Bargmann pairing of two polynomials, an integer.
 
     Monomials are orthogonal with factorial norms, <v^a, v^b> = delta_ab a!
-    per variable; coefficients are rational so conjugation is the identity.
+    per variable; coefficients are integers so conjugation is the identity.
     """
     if len(p.terms) > len(q.terms):
         p, q = q, p
-    total = Fraction(0)
+    total = 0
     for m, cp in p.terms.items():
         cq = q.terms.get(m)
         if cq is None:

@@ -527,13 +527,17 @@ def suite_kernel_identity() -> SuiteResult:
         for h2 in range(h1 + 1):
             if h1 + h2 > dmax or h1 + h2 == 0:
                 continue
+            # M / (a/d) = sum_b b(z) b(u) / N_b, both sides times a * lcm(N_b)
             label = IrrepLabel((h1, h2))
-            lhs = m1 ** (h1 - h2) * m12 ** h2 * (1 / basisgen.const_A(label))
+            const = basisgen.const_A(label)
+            basis = [basisgen.basis_from_branching(p)
+                     for p in patterns_of(label)]
+            lcm = math.lcm(*(b.norm_sq for b in basis))
+            lhs = m1 ** (h1 - h2) * m12 ** h2 * (const.denominator * lcm)
             rhs = ExactPoly()
-            for p in patterns_of(label):
-                b = basisgen.basis_from_branching(p)
+            for b in basis:
                 up = b.poly.map_variables(lambda v: ("z", 1, v[2], v[3]))
-                rhs = rhs + (b.poly * up) * (1 / b.norm_sq)
+                rhs = rhs + (b.poly * up) * (const.numerator * lcm // b.norm_sq)
             if lhs != rhs:
                 return SuiteResult("kernel-identity", False, checks,
                                    f"label {label!r}")
@@ -551,9 +555,7 @@ def suite_kernel_identity() -> SuiteResult:
         rhs = ExactPoly()
         for h2 in range(n + 1):
             e1, e2 = n - h2, h2
-            rhs = rhs + (m1 ** e1 * m12 ** e2
-                         * Fraction(math.factorial(n),
-                                    math.factorial(e1) * math.factorial(e2)))
+            rhs = rhs + m1 ** e1 * m12 ** e2 * math.comb(n, h2)
         if lhs != rhs:
             return SuiteResult("kernel-identity", False, checks, f"power {n}")
         checks += 1

@@ -50,6 +50,28 @@ def test_patterns_refuses_a_label_over_the_limit(capsys, monkeypatch):
                    "than the limit of 100000\n")
 
 
+@pytest.mark.parametrize("j, m", [("1e6,1e6,0", "0,0,0"),
+                                  ("100,100,1", "0,0,0"),
+                                  ("100.5,100,0", "0.5,0,0")])
+def test_threej_refuses_a_total_spin_over_the_limit(capsys, monkeypatch, j, m):
+    # refused before either 3-j route starts
+    def started(*args):
+        raise AssertionError("3-j work started")
+
+    monkeypatch.setattr(cli, "su2_threej", started)
+    monkeypatch.setattr(cli, "racah_threej_oracle", started)
+    code, out, err = run_cli(capsys, "threej", "--j", j, "--m", m)
+    assert code == 1 and out == ""
+    assert err.startswith("error: total spin J = ")
+    assert err.endswith(" is more than the limit of 200\n")
+
+
+def test_threej_at_the_total_spin_limit(capsys):
+    code, out, _ = run_cli(capsys, "threej", "--j", "100,100,0",
+                           "--m", "0,0,0")
+    assert code == 0 and out == "1/1*sqrt(1/201)\n"
+
+
 def test_basis_json_round_trip(capsys):
     from gtboson.basisgen import BasisPolynomial, basis_from_branching
 
@@ -145,8 +167,13 @@ def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys):
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("line, allowed", [("group=u9", "u1, u2, u3, u4, u5"),
-                                           ("format=xml", "json, csv, text")])
+# a value outside its choices, then a misspelt key and a line with no "="
+_FORMS = "group=..., format=..."
+
+
+@pytest.mark.parametrize("line, allowed", [
+    ("group=u9", "u1, u2, u3, u4, u5"), ("format=xml", "json, csv, text"),
+    ("fromat=json", _FORMS), ("nonsense line", _FORMS)])
 def test_config_value_outside_choices_is_a_usage_error(tmp_path, capsys, line,
                                                        allowed):
     conf = tmp_path / "conf"

@@ -28,6 +28,7 @@ from gtboson.oracles import (
     w_invariants,
 )
 from gtboson import coupling, oracles
+from gtboson.basisgen import basis_from_branching
 from gtboson.gelfand import (
     ConsistencyError,
     DomainError,
@@ -408,13 +409,28 @@ class TestPinnedTables:
             PINNED_CSV_SHA256[labels]
 
     def test_non_integer_basis_coefficient_is_refused(self, monkeypatch):
+        # the integer ring itself refuses the rational scalar
         raw = coupling._branch_poly
         monkeypatch.setattr(coupling, "_branch_poly",
                             lambda p: raw(p) * Fraction(1, 2))
-        with pytest.raises(ConsistencyError, match="not an integer"):
+        with pytest.raises(TypeError, match="coefficients are int"):
             # uncached, so the patched basis is used
             coupling._table_cached.__wrapped__((1, 0, 0), (1, 1, 0),
                                                (1, 1, 1))
+
+    def test_bases_and_invariants_have_int_coefficients(self):
+        # every U(4) basis with h1 <= 2, and the invariants of 8x8->8
+        for h in itertools.combinations_with_replacement(range(2, -1, -1), 4):
+            for p in enumerate_patterns(IrrepLabel(h)):
+                b = basis_from_branching(p)
+                assert type(b.norm_sq) is int, p
+                assert all(type(c) is int for c in b.poly.terms.values()), p
+        labels = (IrrepLabel((2, 1, 0)),) * 3
+        family = coupling._k_family(labels)
+        assert len(family) == 2
+        for k in family.values():
+            inv = coupling._invariant_z(k, labels)
+            assert all(type(c) is int for c in inv.terms.values()), k
 
     def test_27x27_to_27_block_unitary(self):
         labels = ((4, 2, 0),) * 3

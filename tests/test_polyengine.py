@@ -42,9 +42,23 @@ class TestRingOps:
     def test_pow_zero_is_one(self):
         assert zp(1, 1) ** 0 == ExactPoly.const(1)
 
-    def test_rational_scalars(self):
-        p = zp(1, 1) * Fraction(2, 3)
-        assert p.coefficient(mono_from_map({zvar(1, 1): 1})) == Fraction(2, 3)
+    # every way a coefficient enters the ring; the ring is the integers
+    @pytest.mark.parametrize("value", [Fraction(1, 2), Fraction(3), 0.5],
+                             ids=str)
+    @pytest.mark.parametrize("enter", [
+        lambda c: ExactPoly({mono_from_map({zvar(1, 1): 1}): c}),
+        ExactPoly.const,
+        lambda c: ExactPoly.monomial(mono_from_map({zvar(1, 1): 1}), c),
+        lambda c: zp(1, 1) * c,
+        lambda c: c * zp(1, 1),
+        lambda c: zp(1, 1) + c,
+        lambda c: c + zp(1, 1),
+        lambda c: zp(1, 1) == c,
+    ], ids=["constructor", "const", "monomial", "mul", "rmul", "add", "radd",
+            "eq"])
+    def test_rational_scalars(self, enter, value):
+        with pytest.raises(TypeError, match="coefficients are int"):
+            enter(value)
 
     def test_map_variables_retags_slots(self):
         p = zp(1, 2) ** 2 * 5
@@ -75,15 +89,15 @@ class TestMinor:
         assert minor(mat, (1, 2), (1, 2)).is_zero()
 
     def test_alternating_and_multilinear_random(self):
-        # substitute random rationals and compare against a plain permanent-free
-        # determinant evaluation
+        # substitute random integers and compare against a plain
+        # permanent-free determinant evaluation
         rng = random.Random(11)
         for _ in range(20):
-            vals = [[Fraction(rng.randrange(-4, 5)) for _ in range(3)]
+            vals = [[rng.randrange(-4, 5) for _ in range(3)]
                     for _ in range(3)]
             mat = [[ExactPoly.const(v) for v in row] for row in vals]
             det = minor(mat, (1, 2, 3), (1, 2, 3))
-            brute = Fraction(0)
+            brute = 0
             import itertools
             for perm in itertools.permutations(range(3)):
                 sgn = 1
@@ -91,7 +105,7 @@ class TestMinor:
                     for b in range(a + 1, 3):
                         if perm[a] > perm[b]:
                             sgn = -sgn
-                term = Fraction(sgn)
+                term = sgn
                 for r in range(3):
                     term *= vals[r][perm[r]]
                 brute += term
@@ -174,8 +188,8 @@ class TestMonomialOrder:
         (lambda: 1 + zp(1, 1) + zp(1, 1) * zp(1, 2) + zp(1, 1) ** 2,
          "z[1,1]^2 + z[1,1]*z[1,2] + z[1,1] + 1", "z[1,1]^2"),
         (lambda: (zp(1, 2) - 3 + zp(1, 1) * zp(2, 2) ** 2
-                  + Fraction(1, 2) * zp(1, 1) * zp(1, 2) * zp(2, 2)),
-         "1/2 * z[1,1]*z[1,2]*z[2,2] + z[1,1]*z[2,2]^2 + z[1,2] - 3",
+                  + 4 * zp(1, 1) * zp(1, 2) * zp(2, 2)),
+         "4 * z[1,1]*z[1,2]*z[2,2] + z[1,1]*z[2,2]^2 + z[1,2] - 3",
          "z[1,1]*z[1,2]*z[2,2]"),
         (lambda: (ExactPoly.variable(xvar(2, 1)) * zp(1, 1)
                   + ExactPoly.variable(yvar(2, 1))

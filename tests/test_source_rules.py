@@ -1,6 +1,8 @@
 """Rules on the package source: no `assert` statements (they vanish under
 `python -O`), the cross-check routes in `gtboson.oracles` stay out of the
-library modules and their exports, and the public surface is pinned."""
+library modules and their exports, the polynomial ring stays an integer
+ring with no conversion helpers around it, and the public surface is
+pinned."""
 
 import ast
 import pathlib
@@ -52,6 +54,30 @@ def test_import_rule_sees_every_import_form():
                                     coupling], ids=lambda m: m.__name__)
 def test_oracle_routes_are_not_library_surface(module):
     assert not set(vars(module)) & set(oracles.__all__)
+
+
+def _names_fraction(node: ast.AST) -> bool:
+    return any(isinstance(n, ast.Name) and n.id == "Fraction"
+               or isinstance(n, ast.Attribute) and n.attr == "Fraction"
+               for n in ast.walk(node))
+
+
+def test_integer_ring_does_not_name_fraction():
+    tree = ast.parse((SRC / "polyengine.py").read_text(encoding="utf-8"))
+    ring = {n.name: n for n in tree.body
+            if getattr(n, "name", None) in ("ExactPoly", "bargmann_inner")}
+    assert set(ring) == {"ExactPoly", "bargmann_inner"}
+    assert not [name for name, node in ring.items() if _names_fraction(node)]
+    assert _names_fraction(ast.parse("x: Fraction = fractions.Fraction(1)"))
+
+
+def test_no_integer_bridge():
+    # coefficients are integers by type, so no module converts them back
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = [n.lineno for n in ast.walk(tree)
+                   if isinstance(n, ast.FunctionDef) and n.name == "_as_int"]
+        assert not defined, f"_as_int in {path.name} at lines {defined}"
 
 
 PUBLIC = {
