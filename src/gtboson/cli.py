@@ -17,6 +17,8 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import chain, islice
+from typing import Iterable
 
 from . import __version__
 from .basisgen import basis_from_branching, p_n_1
@@ -101,25 +103,41 @@ def _load_config(path: str | None) -> dict[str, str]:
     return conf
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(out: str | Iterable[str], path: str | None) -> None:
+    """Write a command's output, given whole or as an iterable of chunks."""
+    chunks = (out,) if isinstance(out, str) else out
     if path:
         outdir = os.environ.get("GTBOSON_OUTPUT_DIR", "")
         if outdir and not os.path.isabs(path):
             path = os.path.join(outdir, path)
         try:
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                _write(fh, chunks)
         except OSError as exc:
             raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
     else:
-        sys.stdout.write(text)
+        _write(sys.stdout, chunks)
+
+
+def _write(fh, chunks: Iterable[str]) -> None:
+    """Write chunks joined in batches, so that a streamed output is never
+    held whole and the many small chunks cost few writes."""
+    it = iter(chunks)
+    while batch := list(islice(it, 4096)):
+        fh.write("".join(batch))
 
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _cmd_patterns(args) -> str:
+# Encodes a pattern list lazily: each pattern becomes its JSON dict only as
+# the encoder reaches it, with the same text as `_json_text`.
+_PATTERNS_JSON = json.JSONEncoder(indent=2, sort_keys=True,
+                                  default=GelfandPattern.to_json)
+
+
+def _cmd_patterns(args) -> str | Iterable[str]:
     label = _parse_label(args.label, args.group)
     count = weyl_dimension(label)
     if count > _MAX_PATTERNS:
@@ -127,8 +145,8 @@ def _cmd_patterns(args) -> str:
                           f"than the limit of {_MAX_PATTERNS}")
     pats = enumerate_patterns(label)
     if args.format == "json":
-        return _json_text({"label": list(label.h), "count": len(pats),
-                           "patterns": [p.to_json() for p in pats]})
+        doc = {"label": list(label.h), "count": len(pats), "patterns": pats}
+        return chain(_PATTERNS_JSON.iterencode(doc), ("\n",))
     lines = [";".join(",".join(str(v) for v in row) for row in p.rows)
              for p in pats]
     if args.format == "csv":

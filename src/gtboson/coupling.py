@@ -31,6 +31,7 @@ directly or summed in closed form over the fifteen-index linear system.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
@@ -42,6 +43,7 @@ from .gelfand import (
     DomainError,
     GelfandPattern,
     IrrepLabel,
+    _broken_betweenness,
     as_label,
     as_pattern,
     patterns_of,
@@ -223,8 +225,31 @@ class CouplingTable:
         return tuple(family[k3] for k3 in self.k3_values)
 
     def value(self, patterns, rho: int) -> SqrtRational:
+        """The entry of a pattern triple at rho; exact zero for an absent
+        key.  DomainError when a pattern is not one of its slot's label,
+        or rho is outside 1..rho_count."""
         key = tuple(as_pattern(p).rows for p in patterns) + (rho,)
-        return self.entries.get(key, SqrtRational.zero())
+        val = self.entries.get(key)
+        if val is None:
+            # stored keys are valid, so only a miss needs checking
+            self._check_key(key)
+            return SqrtRational.zero()
+        return val
+
+    def _check_key(self, key: tuple) -> None:
+        if len(key) != 4:
+            raise DomainError(f"expected three patterns, got {len(key) - 1}")
+        for slot, (rows, label) in enumerate(zip(key, self.labels), 1):
+            if rows[0] != label.h:
+                raise DomainError(f"slot {slot}: pattern top row "
+                                  f"{list(rows[0])} is not the label "
+                                  f"{list(label.h)}")
+            broken = _broken_betweenness(rows)
+            if broken is not None:
+                raise DomainError(f"slot {slot}: pattern breaks betweenness: "
+                                  f"{broken}")
+        if not 1 <= key[3] <= self.rho_count:
+            raise DomainError(f"rho out of range 1..{self.rho_count}")
 
     def nonzero_keys(self) -> list[tuple]:
         return sorted(self.entries)
@@ -457,7 +482,8 @@ def _table_at(labels, rho: int) -> CouplingTable:
 def su3_wigner(labels, patterns, rho: int = 1) -> SqrtRational:
     """Wigner coefficient of a pattern triple at multiplicity rho (1-based);
     exact zero when the weights do not balance.  DomainError when the
-    triple does not couple or rho is outside 1..rho_count."""
+    triple does not couple, rho is outside 1..rho_count, or a pattern is
+    not one of its slot's label (`CouplingTable.value`)."""
     return _table_at(labels, rho).value(patterns, rho)
 
 
@@ -472,7 +498,7 @@ def su3_isoscalar(labels, su2_rows, rho: int = 1) -> SqrtRational:
     1..rho_count.
     """
     labels = tuple(as_label(l) for l in labels)
-    rows = [tuple(int(v) for v in r) for r in su2_rows]
+    rows = [tuple(map(operator.index, r)) for r in su2_rows]
     table = _table_at(labels, rho)
     ratios: list[SqrtRational] = []
     for bots in _bottom_choices(labels, rows):

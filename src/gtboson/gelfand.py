@@ -12,6 +12,7 @@ All objects are immutable; all operations are pure functions.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -56,7 +57,7 @@ class IrrepLabel:
     h: tuple[int, ...]
 
     def __init__(self, h: Sequence[int]):
-        h = tuple(int(v) for v in h)
+        h = tuple(map(operator.index, h))
         if not h:
             raise StructureError("label must have at least one entry")
         for i in range(len(h) - 1):
@@ -95,7 +96,7 @@ class GelfandPattern:
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, rows: Sequence[Sequence[int]]):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
+        rows = tuple(tuple(map(operator.index, row)) for row in rows)
         if not rows:
             raise StructureError("pattern must have at least one row")
         n = len(rows[0])
@@ -146,21 +147,28 @@ def as_pattern(p) -> GelfandPattern:
     return p if isinstance(p, GelfandPattern) else GelfandPattern(p)
 
 
-def validate_pattern(p) -> bool:
-    """True iff every betweenness inequality h_{i,k} >= h_{i,k-1} >= h_{i+1,k}
-    holds between adjacent rows."""
-    p = as_pattern(p)
-    for upper, lower in zip(p.rows, p.rows[1:]):
+def _broken_betweenness(rows: tuple[tuple[int, ...], ...]) -> str | None:
+    """The first betweenness inequality h_{i,k} >= h_{i,k-1} >= h_{i+1,k}
+    that the rows of a pattern break, as text; None when all hold."""
+    for upper, lower in zip(rows, rows[1:]):
         for i, v in enumerate(lower):
             if not (upper[i] >= v >= upper[i + 1]):
-                return False
-    return True
+                k = len(upper)
+                return (f"h[{i + 1},{k}]={upper[i]} >= h[{i + 1},{k - 1}]={v} "
+                        f">= h[{i + 2},{k}]={upper[i + 1]}")
+    return None
+
+
+def validate_pattern(p) -> bool:
+    """True iff every betweenness inequality holds between adjacent rows."""
+    return _broken_betweenness(as_pattern(p).rows) is None
 
 
 def require_valid(p: GelfandPattern) -> GelfandPattern:
     p = as_pattern(p)
-    if not validate_pattern(p):
-        raise DomainError(f"pattern violates betweenness: {p!r}")
+    broken = _broken_betweenness(p.rows)
+    if broken is not None:
+        raise DomainError(f"pattern violates betweenness: {p!r} breaks {broken}")
     return p
 
 

@@ -280,11 +280,16 @@ class ExactPoly:
         Kinds "x" and "y" sort before "z", so the parameter part of each
         monomial is a prefix, found by bisection.  A z-only polynomial maps
         to {(): self}; the zero polynomial maps to {}.
+
+        The returned polynomials share one tuple per (variable, exponent)
+        pair, so a cached split holds each distinct pair once.
         """
         parts: dict[Monomial, dict[Monomial, int]] = {}
+        shared: dict[tuple[VarId, int], tuple[VarId, int]] = {}
         for m, c in self.terms.items():
             k = bisect_left(m, _Z_FIRST)
-            parts.setdefault(m[:k], {})[m[k:]] = c
+            z = m[k:]
+            parts.setdefault(m[:k], {})[tuple(map(shared.setdefault, z, z))] = c
         return {m: ExactPoly.__new_raw(acc) for m, acc in parts.items()}
 
     def text(self) -> str:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from gtboson.basisgen import (
+    _branch_family,
     basis_from_branching,
     branching_kernel,
     const_A,
@@ -211,6 +212,16 @@ class TestBranchingKernel:
         k = branching_kernel([1, 0, 0], [1, 0])
         foreign = pattern_phi(GelfandPattern([[2, 0], [1]]))
         assert foreign not in k.split_parameters()
+
+    @pytest.mark.parametrize("label", [(2, 1, 1, 0), (3, 2, 1, 0)])
+    def test_family_shares_one_object_per_pair(self, label):
+        # every basis polynomial of a branch family points at the same
+        # (variable, exponent) tuples, so the cache holds each pair once
+        rows = {p.row(3) for p in enumerate_patterns(label)}
+        for row in sorted(rows):
+            pairs = [pair for poly in _branch_family(label, row).values()
+                     for m in poly.terms for pair in m]
+            assert len({id(pair) for pair in pairs}) == len(set(pairs)), row
 
 
 class TestSemimaxNorms:

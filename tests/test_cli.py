@@ -37,6 +37,22 @@ def test_patterns_json_round_trip(capsys):
     assert data["count"] == 3 and len(data["patterns"]) == 3
 
 
+def test_patterns_json_is_streamed_with_the_whole_text(tmp_path, capsys):
+    # 1,155 patterns give some 25,000 encoder chunks: several write batches
+    label = [6, 4, 2, 0]
+    pats = cli.enumerate_patterns(label)
+    whole = cli._json_text({"label": label, "count": len(pats),
+                            "patterns": [p.to_json() for p in pats]})
+    argv = ("patterns", "--label", "6,4,2,0", "--format", "json")
+    args = cli.build_parser({}).parse_args(argv)
+    assert not isinstance(cli._cmd_patterns(args), str)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == whole
+    code, out, _ = run_cli(capsys, *argv, "-o", str(tmp_path / "p.json"))
+    assert code == 0 and out == ""
+    assert (tmp_path / "p.json").read_text() == whole
+
+
 def test_patterns_refuses_a_label_over_the_limit(capsys, monkeypatch):
     # 692,680,351 patterns: refused from the Weyl dimension, before any
     # enumeration starts
@@ -162,9 +178,11 @@ def test_config_sets_default_format(tmp_path, capsys):
 
 def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys):
     target = tmp_path / "missing" / "x"
-    code, out, err = run_cli(capsys, "dim", "--label", "2,1,0", "-o", str(target))
-    assert code == 2 and out == "" and not target.exists()
-    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    for argv in (("dim", "--label", "2,1,0"),
+                 ("patterns", "--label", "2,1,0", "--format", "json")):
+        code, out, err = run_cli(capsys, *argv, "-o", str(target))
+        assert code == 2 and out == "" and not target.exists()
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
 
 
 # a value outside its choices, then a misspelt key and a line with no "="

@@ -310,6 +310,33 @@ class TestCouplingTables:
                        tuple(enumerate_patterns(IrrepLabel(h))[0]
                              for h in ((1, 0, 0), (1, 1, 0), (1, 1, 1))), 2)
 
+    def test_non_integer_entries_are_refused(self):
+        # a float entry used to be truncated by int(): 2.5 read as 2
+        labels = ((2, 1, 0),) * 3
+        with pytest.raises(TypeError):
+            su3_wigner(labels, [[[2.5, 1, 0], [1, 1], [1]],
+                                [[2, 1, 0], [1, 0], [0]],
+                                [[2, 1, 0], [2, 1], [2]]], 2)
+        with pytest.raises(TypeError):
+            coupling_table(((2.5, 1, 0), (2, 1, 0), (2, 1, 0)))
+
+    def test_pattern_outside_its_label_is_refused(self):
+        labels = ((2, 1, 0),) * 3
+        good = [[2, 1, 0], [1, 0], [0]], [[2, 1, 0], [2, 1], [2]]
+        with pytest.raises(DomainError,
+                           match=r"slot 1: .*\[3, 0, 0\] is not the label"):
+            su3_wigner(labels, [[[3, 0, 0], [1, 0], [0]], *good], 1)
+        with pytest.raises(DomainError,
+                           match=r"slot 2: .*h\[1,3\]=2 >= h\[1,2\]=3"):
+            su3_wigner(labels, [good[0], [[2, 1, 0], [3, 1], [1]], good[1]], 1)
+        table = coupling_table(labels)
+        with pytest.raises(DomainError, match="three patterns"):
+            table.value(good, 1)
+        with pytest.raises(DomainError, match=r"rho out of range 1\.\.2"):
+            table.value([good[0], good[0], good[1]], 3)
+        # a valid triple off the weight rule is still an exact zero
+        assert table.value([good[0], good[0], good[1]], 1).is_zero()
+
     def test_triple_that_does_not_couple(self):
         labels = ((1, 0, 0), (1, 0, 0), (1, 1, 0))
         assert coupling_table(labels).rho_count == 0
@@ -481,3 +508,5 @@ class TestIsoscalars:
     def test_invalid_row_rejected(self):
         with pytest.raises(DomainError):
             su3_isoscalar(((2, 1, 0),) * 3, ((2, 2), (2, 1), (2, 1)), 1)
+        with pytest.raises(TypeError):
+            su3_isoscalar(((2, 1, 0),) * 3, ((1.5, 0), (1, 0), (1, 1)), 1)

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from gtboson.gelfand import (
     enumerate_patterns,
     lr_exponents,
     pattern_phi,
+    require_valid,
     semimax_pattern,
     validate_pattern,
     weight,
@@ -40,6 +42,18 @@ class TestValidation:
     def test_label_rejects_negative(self):
         with pytest.raises(DomainError, match="non-negative"):
             IrrepLabel([1, 0, -1])
+
+    @pytest.mark.parametrize("entry", [2.5, 2.0, Fraction(2), "2"])
+    def test_non_integer_entries_rejected(self, entry):
+        # int() used to truncate these; only integers are entries
+        with pytest.raises(TypeError):
+            IrrepLabel([entry, 1, 0])
+        with pytest.raises(TypeError):
+            GelfandPattern([[entry, 1, 0], [1, 1], [1]])
+
+    def test_require_valid_names_the_broken_inequality(self):
+        with pytest.raises(DomainError, match=r"h\[1,2\]=2 >= h\[1,1\]=3"):
+            require_valid([[2, 1, 0], [2, 1], [3]])
 
 
 class TestEnumeration:
