@@ -45,5 +45,4 @@ from .coupling import (
     su2_threej,
     su3_isoscalar,
     su3_wigner,
-    xi_invariant,
 )

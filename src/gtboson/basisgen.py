@@ -26,6 +26,7 @@ from .gelfand import (
     GelfandPattern,
     IrrepLabel,
     LRExponents,
+    _broken_betweenness,
     _phi_bits,
     as_label,
     as_pattern,
@@ -110,11 +111,9 @@ def const_A(label) -> Fraction:
 def _check_branching(label: IrrepLabel, branch: IrrepLabel) -> None:
     if branch.n != label.n - 1:
         raise DomainError("branch label must have size n-1")
-    for i in range(branch.n):
-        if not (label.h[i] >= branch.h[i] >= label.h[i + 1]):
-            raise DomainError(
-                f"branching violated: need h[{i + 1}]={label.h[i]} >= "
-                f"h'[{i + 1}]={branch.h[i]} >= h[{i + 2}]={label.h[i + 1]}")
+    broken = _broken_betweenness((label.h, branch.h))
+    if broken is not None:
+        raise DomainError(f"branching violated: {broken}")
 
 
 def norm_sq_semimax(label, branch) -> Fraction:

@@ -34,8 +34,8 @@ from .gelfand import (
     GelfandPattern,
     IrrepLabel,
     StructureError,
+    _broken_betweenness,
     enumerate_patterns,
-    validate_pattern,
     weyl_dimension,
 )
 from .oracles import racah_threej_oracle
@@ -46,7 +46,7 @@ _FORMATS = ("json", "csv", "text")
 _CONFIG_CHOICES = {"group": sorted(_GROUPS), "format": _FORMATS}
 # `patterns` refuses a label with more patterns than this before enumerating.
 _MAX_PATTERNS = 100_000
-# `threej` refuses a larger total spin j1 + j2 + j3 before expanding.
+# `threej` refuses a larger total spin j1 + j2 + j3 before any arithmetic.
 _MAX_TOTAL_SPIN = 200
 
 
@@ -72,8 +72,9 @@ def _parse_label(text: str, group: str | None = None) -> IrrepLabel:
 
 def _parse_pattern(text: str) -> GelfandPattern:
     p = GelfandPattern([_numbers(row) for row in text.split(";")])
-    if not validate_pattern(p):
-        raise DomainError(f"pattern {text} violates betweenness")
+    broken = _broken_betweenness(p.rows)
+    if broken is not None:
+        raise DomainError(f"pattern {text} violates betweenness: {broken}")
     return p
 
 
@@ -137,7 +138,7 @@ _PATTERNS_JSON = json.JSONEncoder(indent=2, sort_keys=True,
                                   default=GelfandPattern.to_json)
 
 
-def _cmd_patterns(args) -> str | Iterable[str]:
+def _cmd_patterns(args) -> Iterable[str]:
     label = _parse_label(args.label, args.group)
     count = weyl_dimension(label)
     if count > _MAX_PATTERNS:
@@ -147,11 +148,11 @@ def _cmd_patterns(args) -> str | Iterable[str]:
     if args.format == "json":
         doc = {"label": list(label.h), "count": len(pats), "patterns": pats}
         return chain(_PATTERNS_JSON.iterencode(doc), ("\n",))
-    lines = [";".join(",".join(str(v) for v in row) for row in p.rows)
-             for p in pats]
+    lines = (";".join(",".join(str(v) for v in row) for row in p.rows) + "\n"
+             for p in pats)
     if args.format == "csv":
-        return "pattern\n" + "\n".join(lines) + "\n"
-    return "\n".join(lines) + "\n"
+        return chain(("pattern\n",), lines)
+    return lines
 
 
 def _cmd_dim(args) -> str:

@@ -1,8 +1,10 @@
 """Invariant-method coupling coefficients for SU(2) and SU(3).
 
-SU(2) 3-j symbols come from extracting parameter monomials out of powers of
-the three antisymmetric two-slot invariants (the Van der Waerden generating
-function).
+SU(2) 3-j symbols are coefficients of the Van der Waerden generating
+function: the product of powers of the three antisymmetric two-slot
+invariants xi_ab = y_a x_b - x_a y_b.  The coefficient of one monomial is
+read as a single binomial sum (`_xi_coefficient`); the product is never
+expanded.
 
 SU(3) Wigner coefficients with multiplicity come from the seven elementary
 three-slot invariants W1..W7.  A coupling is selected by a vector of seven
@@ -56,16 +58,12 @@ from .polyengine import (
     SqrtRational,
     bargmann_inner,  # noqa: F401  unused here; bench/test_bench.py reads it
     minor,
-    mono_from_map,
     symbolic_matrix,
-    xvar,
-    yvar,
 )
 
 __all__ = [
     "CouplingTable",
     "IsoscalarUndefined",
-    "xi_invariant",
     "su2_threej",
     "coupling_table",
     "su3_wigner",
@@ -80,42 +78,36 @@ class IsoscalarUndefined(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# SU(2): elementary invariants and the generating-function 3-j.
+# SU(2): the generating-function 3-j.
 # ---------------------------------------------------------------------------
 
 
-def xi_invariant(a: int, b: int) -> ExactPoly:
-    """Antisymmetric invariant of slots a < b:
-    y_a(2,1) x_b(2,1) - x_a(2,1) y_b(2,1)."""
-    if not (1 <= a < b <= 3):
-        raise DomainError("xi_invariant requires slots 1 <= a < b <= 3")
-    ya, xa = ExactPoly.variable(yvar(2, 1, a)), ExactPoly.variable(xvar(2, 1, a))
-    yb, xb = ExactPoly.variable(yvar(2, 1, b)), ExactPoly.variable(xvar(2, 1, b))
-    return ya * xb - xa * yb
+def _xi_coefficient(p: Sequence[int], xy: Sequence[tuple[int, int]]) -> int:
+    """Coefficient of prod_s x_s^a_s y_s^b_s, (a_s, b_s) = xy[s - 1], in
+    xi23^p1 xi13^p2 xi12^p3, where xi_ab = y_a x_b - x_a y_b.
+
+    Take k of xi12's factors as -x1 y2, j of xi13's as -x1 y3 and i of
+    xi23's as -x2 y3.  The x1 and x2 degrees fix j = a1 - k and
+    i = a2 - p3 + k, the y3 degree needs i + j = b3, and the slot degrees
+    fix the rest, so the coefficient is the single sum
+    sum_k (-1)^(i+j+k) C(p1, i) C(p2, j) C(p3, k).  Zero when the target
+    is not a monomial of the product."""
+    (a1, b1), (a2, b2), (a3, b3) = xy
+    p1, p2, p3 = p
+    if ((a1 + b1, a2 + b2, a3 + b3) != (p2 + p3, p1 + p3, p1 + p2)
+            or a1 + a2 - p3 != b3):
+        return 0
+    c = sum((-1) ** k * math.comb(p1, a2 - p3 + k) * math.comb(p2, a1 - k)
+            * math.comb(p3, k)
+            for k in range(max(0, a1 - p2, p3 - a2),
+                           min(p3, a1, p1 + p3 - a2) + 1))
+    return -c if b3 % 2 else c
 
 
-@lru_cache(maxsize=None)
-def _xi_product(p1: int, p2: int, p3: int) -> ExactPoly:
-    return (xi_invariant(2, 3) ** p1 * xi_invariant(1, 3) ** p2
-            * xi_invariant(1, 2) ** p3)
-
-
-def _slot2_monomial(jm: Sequence[tuple[int, int]]) -> Monomial:
-    """Monomial prod_s x_s^(j-m) y_s^(j+m) from doubled (2j, 2m) pairs."""
-    exps = {}
-    for s, (tj, tm) in enumerate(jm, start=1):
-        lo, hi = (tj - tm) // 2, (tj + tm) // 2
-        if lo:
-            exps[xvar(2, 1, s)] = lo
-        if hi:
-            exps[yvar(2, 1, s)] = hi
-    return mono_from_map(exps)
-
-
-def _pattern_to_tjm(p: GelfandPattern) -> tuple[int, int]:
+def _pattern_to_tjm(p) -> tuple[int, int]:
     """Doubled (2j, 2m) of an SU(2) pattern; labels shifted by the
     determinant are reduced to spin form."""
-    p = require_valid(as_pattern(p))
+    p = require_valid(p)
     if p.n != 2:
         raise DomainError("SU(2) pattern required")
     h12, h22 = p.row(2)
@@ -124,38 +116,27 @@ def _pattern_to_tjm(p: GelfandPattern) -> tuple[int, int]:
 
 
 def _threej_core(tjm: Sequence[tuple[int, int]]) -> SqrtRational:
-    """3-j symbol from the generating-function extraction, phase convention
-    of Condon-Shortley (verified against the factorial-sum oracle in
-    `gtboson.oracles`)."""
-    (tj1, tm1), (tj2, tm2), (tj3, tm3) = tjm
-    if tm1 + tm2 + tm3 != 0:
-        return SqrtRational.zero()
-    tJ = tj1 + tj2 + tj3
-    if tJ % 2:
-        return SqrtRational.zero()
-    p1 = (tJ - 2 * tj1) // 2
-    p2 = (tJ - 2 * tj2) // 2
-    p3 = (tJ - 2 * tj3) // 2
-    if p1 < 0 or p2 < 0 or p3 < 0:
-        return SqrtRational.zero()
-    target = _slot2_monomial(tjm)
-    c = _xi_product(p1, p2, p3).coefficient(target)
+    """3-j symbol from the coefficient of the generating function
+    xi23^p1 xi13^p2 xi12^p3, phase convention of Condon-Shortley (verified
+    against the factorial-sum oracle in `gtboson.oracles`).  Every selection
+    rule (m sum, integer J, triangle) shows as a zero coefficient."""
+    tJ = sum(tj for tj, _ in tjm)
+    p = [(tJ - 2 * tj) // 2 for tj, _ in tjm]
+    xy = [((tj - tm) // 2, (tj + tm) // 2) for tj, tm in tjm]
+    c = _xi_coefficient(p, xy)
     if not c:
         return SqrtRational.zero()
-    if p2 % 2:
+    if p[1] % 2:
         c = -c
-    num = 1
-    for tj, tm in tjm:
-        num *= _fact((tj - tm) // 2) * _fact((tj + tm) // 2)
-    den = _fact(tJ // 2 + 1) * _fact(p1) * _fact(p2) * _fact(p3)
+    num = math.prod(_fact(a) * _fact(b) for a, b in xy)
+    den = _fact(tJ // 2 + 1) * math.prod(_fact(v) for v in p)
     return SqrtRational(c, Fraction(num, den))
 
 
 def su2_threej(pat1, pat2, pat3) -> SqrtRational:
     """3-j symbol of three SU(2) patterns (zero on any selection-rule
     violation)."""
-    return _threej_core([_pattern_to_tjm(as_pattern(p))
-                         for p in (pat1, pat2, pat3)])
+    return _threej_core([_pattern_to_tjm(p) for p in (pat1, pat2, pat3)])
 
 
 # ---------------------------------------------------------------------------
@@ -210,13 +191,17 @@ class CouplingTable:
     nonzero entries only.
     """
 
-    def __init__(self, labels, rho_count: int, k3_values: tuple[int, ...],
+    def __init__(self, labels, k3_values: tuple[int, ...],
                  entries: dict[tuple, SqrtRational]):
         self.labels = tuple(as_label(l) for l in labels)
-        self.rho_count = rho_count
         self.k3_values = k3_values
         self.entries = entries
         self.normalization = "gram-block-unitary"
+
+    @property
+    def rho_count(self) -> int:
+        """The multiplicity: one rho per admissible k3 value."""
+        return len(self.k3_values)
 
     @property
     def k_vectors(self) -> tuple[tuple[int, ...], ...]:
@@ -284,8 +269,10 @@ class CouplingTable:
         k3_values = tuple(obj["k3_values"])
         if k3_values != tuple(sorted(_k_family(labels))):
             raise ValueError("serialized k3 values do not match the labels")
-        return cls(labels=labels, rho_count=obj["rho_count"],
-                   k3_values=k3_values, entries=entries)
+        if obj["rho_count"] != len(k3_values):
+            raise ValueError("serialized rho_count does not match the k3 "
+                             "values")
+        return cls(labels=labels, k3_values=k3_values, entries=entries)
 
     def to_csv(self) -> str:
         lines = ["pattern1,pattern2,pattern3,rho,value"]
@@ -394,7 +381,7 @@ def _table_cached(h1: tuple, h2: tuple, h3: tuple) -> CouplingTable:
     family = _k_family(labels)
     k3_values = tuple(sorted(family))
     if not k3_values:
-        return CouplingTable(labels, 0, (), {})
+        return CouplingTable(labels, (), {})
     pats = [patterns_of(l) for l in labels]
     d12, d2 = len(pats[0]) * len(pats[1]), len(pats[1])
     (proj1, n1), (proj2, n2), (proj3, n3) = (
@@ -458,7 +445,7 @@ def _table_cached(h1: tuple, h2: tuple, h3: tuple) -> CouplingTable:
                 key = (pats[0][i1].rows, pats[1][i2].rows, pats[2][i3].rows,
                        rho0 + 1)
                 entries[key] = val
-    return CouplingTable(labels, len(k3_values), k3_values, entries)
+    return CouplingTable(labels, k3_values, entries)
 
 
 def coupling_table(labels) -> CouplingTable:
@@ -525,8 +512,10 @@ def _bottom_choices(labels, rows):
     for s in range(3):
         h12, h22 = rows[s]
         l = labels[s]
-        if not (l.h[0] >= h12 >= l.h[1] >= h22 >= l.h[2]):
-            raise DomainError(f"row {rows[s]} violates branching under {list(l.h)}")
+        broken = _broken_betweenness((l.h, rows[s]))
+        if broken is not None:
+            raise DomainError(f"row {rows[s]} violates branching under "
+                              f"{list(l.h)}: {broken}")
         ranges.append(range(h22, h12 + 1))
     for b1 in ranges[0]:
         for b2 in ranges[1]:

@@ -233,9 +233,10 @@ def semimax_pattern(label, sub) -> GelfandPattern:
         raise StructureError("semimax branch must have size n-1")
     rows = [label.h] + [sub.h[:k] for k in range(sub.n, 0, -1)]
     p = GelfandPattern(rows)
-    if not validate_pattern(p):
+    broken = _broken_betweenness(p.rows)
+    if broken is not None:
         raise DomainError(f"branch {list(sub.h)} violates the branching law "
-                          f"under {list(label.h)}")
+                          f"under {list(label.h)}: {broken}")
     return p
 
 

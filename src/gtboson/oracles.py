@@ -25,7 +25,7 @@ from .basisgen import (
     _upper_minors,
     norm_sq_u3,
 )
-from .coupling import _k_family, _xi_product, xi_invariant
+from .coupling import _k_family, _xi_coefficient
 from .gelfand import (
     ConsistencyError,
     DomainError,
@@ -41,7 +41,6 @@ from .polyengine import (
     ExactPoly,
     Monomial,
     SqrtRational,
-    mono_from_map,
     mono_mul,
     xvar,
     yvar,
@@ -49,6 +48,7 @@ from .polyengine import (
 
 __all__ = [
     "racah_threej_oracle",
+    "xi_invariant",
     "w_invariants",
     "SU6Indices",
     "k_exponents",
@@ -147,6 +147,16 @@ _W_TERMS: list[tuple[int, tuple[tuple[str, int, int, int], ...],
     (7, (("x", 3, 1, 2), ("y", 3, 1, 1), ("y", 3, 1, 3)), (1, 3), -1),  # i14
     (7, (("x", 3, 1, 1), ("y", 3, 1, 2), ("y", 3, 1, 3)), (2, 3), +1),  # i15
 ]
+
+
+def xi_invariant(a: int, b: int) -> ExactPoly:
+    """Antisymmetric invariant of slots a < b:
+    y_a(2,1) x_b(2,1) - x_a(2,1) y_b(2,1)."""
+    if not (1 <= a < b <= 3):
+        raise DomainError("xi_invariant requires slots 1 <= a < b <= 3")
+    ya, xa = ExactPoly.variable(yvar(2, 1, a)), ExactPoly.variable(xvar(2, 1, a))
+    yb, xb = ExactPoly.variable(yvar(2, 1, b)), ExactPoly.variable(xvar(2, 1, b))
+    return ya * xb - xa * yb
 
 
 def _term_poly(term) -> ExactPoly:
@@ -410,8 +420,9 @@ def _p_exponents(pats) -> tuple[int, int, int]:
 
 def su3_wigner_secondary(labels, patterns, rho: int = 1) -> Fraction:
     """Raw coefficient by the closed triple-sum route: the multiplicity-sliced
-    multinomial sum over the index system times the two-slot invariant
-    extraction.  Equals the raw polynomial-expansion coefficient exactly."""
+    multinomial sum over the index system times the two-slot invariants'
+    coefficient, read as a binomial sum.  No polynomial is expanded.
+    Equals the raw polynomial-expansion coefficient exactly."""
     labels = tuple(as_label(l) for l in labels)
     pats = tuple(require_valid(as_pattern(p)) for p in patterns)
     family = _k_family(labels)
@@ -426,15 +437,8 @@ def su3_wigner_secondary(labels, patterns, rho: int = 1) -> Fraction:
             if _k_of_solution(iv) == k]
     if not sols:
         return Fraction(0)
-    d = _reduced_sum(k, sols)
-    p1, p2, p3 = p_exp
-    target = mono_from_map({
-        v: e for s, p in enumerate(pats, start=1)
-        for v, e in ((xvar(2, 1, s), _slot2_exponents(p)[0]),
-                     (yvar(2, 1, s), _slot2_exponents(p)[1])) if e
-    })
-    c2 = _xi_product(p1, p2, p3).coefficient(target)
-    return d * c2
+    return _reduced_sum(k, sols) * _xi_coefficient(
+        p_exp, [_slot2_exponents(p) for p in pats])
 
 
 def _k_of_solution(iv: Sequence[int]) -> tuple[int, ...]:

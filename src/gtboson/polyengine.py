@@ -22,7 +22,6 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Number
 from typing import Callable, Mapping, Sequence
 
 __all__ = [
@@ -220,9 +219,9 @@ class ExactPoly:
         return result
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Number):
+        if isinstance(other, int):
             other = ExactPoly.const(other)
-        if not isinstance(other, ExactPoly):
+        elif not isinstance(other, ExactPoly):
             return NotImplemented
         return self.terms == other.terms
 

@@ -199,7 +199,9 @@ class TestBranchingKernel:
         assert k == zp(1, 1) * zp(1, 2)
 
     def test_branching_violation_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError,
+                           match=r"branching violated: h\[1,3\]=2 >= "
+                                 r"h\[1,2\]=3 >= h\[2,3\]=1"):
             branching_kernel([2, 1, 0], [3, 0])
 
     def test_phi_support_matches_patterns(self):

@@ -88,6 +88,14 @@ def test_threej_at_the_total_spin_limit(capsys):
     assert code == 0 and out == "1/1*sqrt(1/201)\n"
 
 
+def test_threej_at_the_limit_with_three_large_spins(capsys):
+    # the command checks its value against the Racah oracle (exit 3 if not)
+    code, out, err = run_cli(capsys, "threej", "--j", "66,67,67",
+                             "--m", "0,0,0")
+    assert code == 0 and err == ""
+    assert out.startswith("79561804909645898799124620/1*sqrt(1/")
+
+
 def test_basis_json_round_trip(capsys):
     from gtboson.basisgen import BasisPolynomial, basis_from_branching
 
@@ -147,6 +155,10 @@ def test_invalid_label_names_inequality(capsys):
 def test_invalid_pattern_rejected(capsys):
     code, _, err = run_cli(capsys, "basis", "--pattern", "2,1;3")
     assert code == 1 and "betweenness" in err
+    code, _, err = run_cli(capsys, "basis", "--pattern", "2,1,0;3,1;1")
+    assert code == 1
+    assert err == ("error: pattern 2,1,0;3,1;1 violates betweenness: "
+                   "h[1,3]=2 >= h[1,2]=3 >= h[2,3]=1\n")
 
 
 def test_unknown_subcommand_usage_error(capsys):

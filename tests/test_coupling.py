@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from gtboson.coupling import (
     CouplingTable,
     IsoscalarUndefined,
+    _xi_coefficient,
     coupling_table,
     su2_threej,
     su3_isoscalar,
     su3_wigner,
-    xi_invariant,
 )
 from gtboson.oracles import (
     SU6Indices,
@@ -26,6 +26,7 @@ from gtboson.oracles import (
     su3_wigner_secondary,
     triple_to_su6,
     w_invariants,
+    xi_invariant,
 )
 from gtboson import coupling, oracles
 from gtboson.basisgen import basis_from_branching
@@ -39,7 +40,7 @@ from gtboson.gelfand import (
     weight,
     weyl_dimension,
 )
-from gtboson.polyengine import ExactPoly, SqrtRational, xvar, yvar
+from gtboson.polyengine import ExactPoly, SqrtRational, mono_from_map, xvar, yvar
 
 
 def spin_pattern(tj, tm):
@@ -61,6 +62,29 @@ class TestXi:
         swapped = xi_invariant(1, 3).map_variables(
             lambda v: (v[0], swap[v[1]], v[2], v[3]))
         assert swapped == -xi_invariant(1, 3)
+
+    def test_closed_coefficient_equals_the_expansion(self):
+        # every doubled (2j, 2m) triple with 2j <= 8, including the targets
+        # off the degree balance (m sum != 0, odd J, triangle broken)
+        spins = [(tj, tm) for tj in range(9) for tm in range(-tj, tj + 1, 2)]
+        products = {}
+        for tjm in itertools.product(spins, repeat=3):
+            tJ = sum(tj for tj, _ in tjm)
+            p = tuple((tJ - 2 * tj) // 2 for tj, _ in tjm)
+            xy = [((tj - tm) // 2, (tj + tm) // 2) for tj, tm in tjm]
+            got = _xi_coefficient(p, xy)
+            if tJ % 2 or min(p) < 0:
+                # no product xi23^p1 xi13^p2 xi12^p3 has these slot degrees
+                assert got == 0, tjm
+                continue
+            if p not in products:
+                products[p] = (xi_invariant(2, 3) ** p[0]
+                               * xi_invariant(1, 3) ** p[1]
+                               * xi_invariant(1, 2) ** p[2])
+            target = mono_from_map({
+                v: e for s, (a, b) in enumerate(xy, start=1)
+                for v, e in ((xvar(2, 1, s), a), (yvar(2, 1, s), b)) if e})
+            assert got == products[p].coefficient(target), tjm
 
 
 class TestRacahOracle:
@@ -379,6 +403,9 @@ class TestCouplingTables:
         data = table.to_json() | {"k3_values": [0, 5]}
         with pytest.raises(ValueError, match="k3 values"):
             CouplingTable.from_json(data)
+        data = table.to_json() | {"rho_count": 5}
+        with pytest.raises(ValueError, match="rho_count"):
+            CouplingTable.from_json(data)
 
     def test_csv_deterministic(self):
         t1 = coupling_table(((1, 0, 0), (1, 0, 0), (1, 0, 0))).to_csv()
@@ -508,5 +535,9 @@ class TestIsoscalars:
     def test_invalid_row_rejected(self):
         with pytest.raises(DomainError):
             su3_isoscalar(((2, 1, 0),) * 3, ((2, 2), (2, 1), (2, 1)), 1)
+        with pytest.raises(DomainError, match=r"row \(3, 0\) violates branching "
+                                              r"under \[2, 1, 0\]: h\[1,3\]=2 "
+                                              r">= h\[1,2\]=3 >= h\[2,3\]=1"):
+            su3_isoscalar(((2, 1, 0),) * 3, ((3, 0), (2, 0), (2, 0)), 1)
         with pytest.raises(TypeError):
             su3_isoscalar(((2, 1, 0),) * 3, ((1.5, 0), (1, 0), (1, 1)), 1)

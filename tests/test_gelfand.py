@@ -125,7 +125,9 @@ class TestExtremePatterns:
         assert semimax_pattern([2, 1, 0], [1, 1]).rows == ((2, 1, 0), (1, 1), (1,))
 
     def test_semimax_rejects_bad_branch(self):
-        with pytest.raises(DomainError, match="branching"):
+        with pytest.raises(DomainError, match=r"branching law under \[2, 1, 0\]"
+                                              r": h\[1,3\]=2 >= h\[1,2\]=3 "
+                                              r">= h\[2,3\]=1"):
             semimax_pattern([2, 1, 0], [3, 0])
 
 

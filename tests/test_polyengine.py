@@ -53,12 +53,20 @@ class TestRingOps:
         lambda c: c * zp(1, 1),
         lambda c: zp(1, 1) + c,
         lambda c: c + zp(1, 1),
-        lambda c: zp(1, 1) == c,
-    ], ids=["constructor", "const", "monomial", "mul", "rmul", "add", "radd",
-            "eq"])
+    ], ids=["constructor", "const", "monomial", "mul", "rmul", "add", "radd"])
     def test_rational_scalars(self, enter, value):
         with pytest.raises(TypeError, match="coefficients are int"):
             enter(value)
+
+    # equality compares with int and ExactPoly only; any other value is
+    # unequal, never an error
+    @pytest.mark.parametrize("value", [Fraction(1, 2), Fraction(3), 0.5,
+                                       Fraction(1), 1.0], ids=str)
+    def test_equality_with_a_non_int_is_false(self, value):
+        assert not zp(1, 1) == value
+        assert not ExactPoly.const(1) == value
+        assert ExactPoly.const(1) != value
+        assert ExactPoly.const(1) == 1
 
     def test_map_variables_retags_slots(self):
         p = zp(1, 2) ** 2 * 5

@@ -89,7 +89,6 @@ PUBLIC = {
     "p_n_1", "pattern_phi", "semimax_pattern", "su2_threej", "su3_isoscalar",
     "su3_wigner", "symbolic_matrix", "u2_basis_closed", "u3_basis_closed",
     "u4_basis_closed", "validate_pattern", "weight", "weyl_dimension",
-    "xi_invariant",
 }
 
 
