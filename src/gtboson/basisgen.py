@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from .gelfand import (
     DomainError,
@@ -32,7 +33,6 @@ from .gelfand import (
     as_pattern,
     lr_exponents,
     pattern_phi,
-    require_valid,
 )
 from .polyengine import (
     ExactPoly,
@@ -158,7 +158,7 @@ def norm_sq_max(label) -> Fraction:
 def norm_sq_u2(pattern) -> Fraction:
     """Norm squared of the unnormalized U(2) polynomial
     D1^(h11-h22) D2^(h12-h11) D12^(h22)."""
-    p = require_valid(as_pattern(pattern))
+    p = as_pattern(pattern)
     if p.n != 2:
         raise DomainError("norm_sq_u2 requires a U(2) pattern")
     h12, h22 = p.row(2)
@@ -176,7 +176,7 @@ def norm_sq_u3(pattern) -> Fraction:
     the norm of the highest-weight polynomial of the middle row's label,
     divided by the norm of the embedded U(2) polynomial.
     """
-    p = require_valid(as_pattern(pattern))
+    p = as_pattern(pattern)
     if p.n != 3:
         raise DomainError("norm_sq_u3 requires a U(3) pattern")
     top = IrrepLabel(p.row(3))
@@ -278,14 +278,17 @@ def _finish(p: GelfandPattern, poly: ExactPoly) -> BasisPolynomial:
 
 def basis_from_branching(pattern) -> BasisPolynomial:
     """Gel'fand basis polynomial by branching-kernel extraction, for any
-    valid U(n) pattern with n <= 4 (the generic oracle)."""
-    p = require_valid(as_pattern(pattern))
+    U(n) pattern with n <= 4 (the generic oracle); DomainError for n >= 5,
+    whose bases nothing checks."""
+    p = as_pattern(pattern)
+    if p.n > 4:
+        raise DomainError("basis construction is implemented for n <= 4")
     return _finish(p, _branch_poly(p))
 
 
 def u2_basis_closed(pattern) -> BasisPolynomial:
     """U(2) closed form: D1^(h11-h22) D2^(h12-h11) D12^(h22)."""
-    p = require_valid(as_pattern(pattern))
+    p = as_pattern(pattern)
     if p.n != 2:
         raise DomainError("u2_basis_closed requires a U(2) pattern")
     h12, h22 = p.row(2)
@@ -299,7 +302,7 @@ def u3_basis_closed(pattern) -> BasisPolynomial:
     """U(3) closed form: the single binomial sum over i + j = h11 - h22 of
     C(h12-h23, i) C(h23-h22, j) D1^i D2^(h12-h23-i) D3^(h13-h12)
     D12^(h22-h33) D13^j D23^(h23-h22-j) D123^(h33)."""
-    p = require_valid(as_pattern(pattern))
+    p = as_pattern(pattern)
     if p.n != 3:
         raise DomainError("u3_basis_closed requires a U(3) pattern")
     h13, h23, h33 = p.row(3)
@@ -320,15 +323,32 @@ def u3_basis_closed(pattern) -> BasisPolynomial:
     return _finish(p, poly)
 
 
-def _u4_interior(p: GelfandPattern):
-    """Exponent data for the five-index U(4) sum: the level-4 group powers
-    and the lower-pattern exponent tables."""
-    top = p.row(4)
-    row3 = p.row(3)
-    l4 = [top[k] - row3[k] for k in range(3)] + [top[3]]
-    r4 = [row3[k] - top[k + 1] for k in range(3)]
-    lr = lr_exponents(p.lower())
-    return l4, r4, lr
+def _u4_indices(lr: LRExponents) -> Iterator[tuple[int, ...]]:
+    """The twelve trinomial indices (a, ..., l) of the five-index U(4) sum,
+    for the exponent table of a U(4) pattern: a, c, d, g and i run free,
+    and the four group totals and six parameter matches fix the rest."""
+    L, R = lr.L, lr.R
+    r41, l42, r42, l43 = R[(4, 1)], L[(4, 2)], R[(4, 2)], L[(4, 3)]
+    r31, l31, l32, r32, r21, l21 = (R[(3, 1)], L[(3, 1)], L[(3, 2)],
+                                    R[(3, 2)], R[(2, 1)], L[(2, 1)])
+    for a in range(r41 + 1):
+        for c in range(r41 - a + 1):
+            b, f = r41 - a - c, l31 - c
+            if f < 0:
+                continue
+            for d in range(l42 + 1):
+                e = l42 - d - f
+                if e < 0:
+                    continue
+                for g in range(r42 + 1):
+                    for i in range(r42 - g + 1):
+                        h, l = r42 - g - i, r32 - i
+                        j = r21 - a - d - g
+                        k = l43 - j - l
+                        if (min(j, k, l) >= 0 and b + e + h + k == l21
+                                and a + b + d + e == r31
+                                and g + h + j + k == l32):
+                            yield (a, b, c, d, e, f, g, h, i, j, k, l)
 
 
 def u4_basis_closed(pattern) -> BasisPolynomial:
@@ -340,48 +360,22 @@ def u4_basis_closed(pattern) -> BasisPolynomial:
     d over the second, g, i over the third), all others being eliminated by
     the linear constraints.
     """
-    p = require_valid(as_pattern(pattern))
+    p = as_pattern(pattern)
     if p.n != 4:
         raise DomainError("u4_basis_closed requires a U(4) pattern")
-    l4, r4, lr = _u4_interior(p)
-    r31, l31 = lr.R[(3, 1)], lr.L[(3, 1)]
-    l32, r32 = lr.L[(3, 2)], lr.R[(3, 2)]
-    r21, l21 = lr.R[(2, 1)], lr.L[(2, 1)]
+    lr = lr_exponents(p)
     dm = _upper_minors(4)
-    fixed = dm[(4,)] ** l4[0] * dm[1, 2, 3] ** r4[2] * dm[1, 2, 3, 4] ** l4[3]
+    fixed = (dm[(4,)] ** lr.L[(4, 1)] * dm[1, 2, 3] ** lr.R[(4, 3)]
+             * dm[1, 2, 3, 4] ** lr.L[(4, 4)])
     acc = ExactPoly()
-    for a in range(r4[0] + 1):
-        for c in range(r4[0] - a + 1):
-            b = r4[0] - a - c
-            f = l31 - c
-            if f < 0:
-                continue
-            for d in range(l4[1] + 1):
-                e = l4[1] - d - f
-                if e < 0:
-                    continue
-                for g in range(r4[1] + 1):
-                    for i in range(r4[1] - g + 1):
-                        h = r4[1] - g - i
-                        l = r32 - i
-                        j = r21 - a - d - g
-                        if l < 0 or j < 0:
-                            continue
-                        k = l4[2] - j - l
-                        if k < 0:
-                            continue
-                        if b + e + h + k != l21 or (a + b) + (d + e) != r31:
-                            continue
-                        if (g + h) + (j + k) != l32:
-                            continue
-                        coeff = (_multinom(a, b, c) * _multinom(d, e, f)
-                                 * _multinom(g, h, i) * _multinom(j, k, l))
-                        term = (dm[(1,)] ** a * dm[(2,)] ** b * dm[(3,)] ** c
-                                * dm[1, 4] ** d * dm[2, 4] ** e * dm[3, 4] ** f
-                                * dm[1, 3] ** g * dm[2, 3] ** h * dm[1, 2] ** i
-                                * dm[1, 3, 4] ** j * dm[2, 3, 4] ** k
-                                * dm[1, 2, 4] ** l)
-                        acc = acc + coeff * term
+    for a, b, c, d, e, f, g, h, i, j, k, l in _u4_indices(lr):
+        coeff = (_multinom(a, b, c) * _multinom(d, e, f)
+                 * _multinom(g, h, i) * _multinom(j, k, l))
+        term = (dm[(1,)] ** a * dm[(2,)] ** b * dm[(3,)] ** c
+                * dm[1, 4] ** d * dm[2, 4] ** e * dm[3, 4] ** f
+                * dm[1, 3] ** g * dm[2, 3] ** h * dm[1, 2] ** i
+                * dm[1, 3, 4] ** j * dm[2, 3, 4] ** k * dm[1, 2, 4] ** l)
+        acc = acc + coeff * term
     poly = acc * fixed
     if poly.is_zero():
         raise DomainError(f"empty five-index sum for {p!r}")
@@ -418,7 +412,7 @@ def p_n_1(pattern) -> int:
     valid U(n) pattern with n >= 3: the product of binomial coefficients
     obtained by expanding the parameter mirror of the branching kernel
     level by level (n=3: C(h12-h22, h11-h22))."""
-    p = require_valid(as_pattern(pattern))
+    p = as_pattern(pattern)
     if p.n < 3:
         raise DomainError("p_n_1 is defined for n >= 3")
     return _pn1_product(lr_exponents(p))

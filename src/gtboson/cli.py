@@ -34,7 +34,6 @@ from .gelfand import (
     GelfandPattern,
     IrrepLabel,
     StructureError,
-    _broken_betweenness,
     enumerate_patterns,
     weyl_dimension,
 )
@@ -71,11 +70,7 @@ def _parse_label(text: str, group: str | None = None) -> IrrepLabel:
 
 
 def _parse_pattern(text: str) -> GelfandPattern:
-    p = GelfandPattern([_numbers(row) for row in text.split(";")])
-    broken = _broken_betweenness(p.rows)
-    if broken is not None:
-        raise DomainError(f"pattern {text} violates betweenness: {broken}")
-    return p
+    return GelfandPattern([_numbers(row) for row in text.split(";")])
 
 
 def _load_config(path: str | None) -> dict[str, str]:
@@ -167,8 +162,6 @@ def _cmd_basis(args) -> str:
     p = _parse_pattern(args.pattern)
     if args.group and p.n != _GROUPS[args.group]:
         raise DomainError(f"pattern has {p.n} rows, expected {_GROUPS[args.group]}")
-    if p.n > 4:
-        raise DomainError("basis construction is implemented for n <= 4")
     b = basis_from_branching(p)
     if args.format == "json":
         return _json_text(b.to_json())

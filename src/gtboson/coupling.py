@@ -46,10 +46,10 @@ from .gelfand import (
     GelfandPattern,
     IrrepLabel,
     _broken_betweenness,
+    _pattern_rows,
     as_label,
     as_pattern,
     patterns_of,
-    require_valid,
     weyl_dimension,
 )
 from .polyengine import (
@@ -107,7 +107,7 @@ def _xi_coefficient(p: Sequence[int], xy: Sequence[tuple[int, int]]) -> int:
 def _pattern_to_tjm(p) -> tuple[int, int]:
     """Doubled (2j, 2m) of an SU(2) pattern; labels shifted by the
     determinant are reduced to spin form."""
-    p = require_valid(p)
+    p = as_pattern(p)
     if p.n != 2:
         raise DomainError("SU(2) pattern required")
     h12, h22 = p.row(2)
@@ -213,10 +213,10 @@ class CouplingTable:
         """The entry of a pattern triple at rho; exact zero for an absent
         key.  DomainError when a pattern is not one of its slot's label,
         or rho is outside 1..rho_count."""
-        key = tuple(as_pattern(p).rows for p in patterns) + (rho,)
+        key = tuple(_pattern_rows(p) for p in patterns) + (rho,)
         val = self.entries.get(key)
         if val is None:
-            # stored keys are valid, so only a miss needs checking
+            # stored keys are valid, so only a miss builds the patterns
             self._check_key(key)
             return SqrtRational.zero()
         return val
@@ -225,14 +225,13 @@ class CouplingTable:
         if len(key) != 4:
             raise DomainError(f"expected three patterns, got {len(key) - 1}")
         for slot, (rows, label) in enumerate(zip(key, self.labels), 1):
-            if rows[0] != label.h:
-                raise DomainError(f"slot {slot}: pattern top row "
-                                  f"{list(rows[0])} is not the label "
-                                  f"{list(label.h)}")
-            broken = _broken_betweenness(rows)
-            if broken is not None:
-                raise DomainError(f"slot {slot}: pattern breaks betweenness: "
-                                  f"{broken}")
+            try:
+                top = GelfandPattern(rows).top
+            except DomainError as exc:
+                raise DomainError(f"slot {slot}: {exc}") from None
+            if top != label.h:
+                raise DomainError(f"slot {slot}: pattern top row {list(top)} "
+                                  f"is not the label {list(label.h)}")
         if not 1 <= key[3] <= self.rho_count:
             raise DomainError(f"rho out of range 1..{self.rho_count}")
 
@@ -261,10 +260,8 @@ class CouplingTable:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CouplingTable":
-        entries = {}
-        for e in obj["entries"]:
-            key = tuple(tuple(tuple(r) for r in p["rows"]) for p in e["patterns"])
-            entries[key + (e["rho"],)] = SqrtRational.from_json(e["value"])
+        """Rebuild a table; DomainError for a key that a lookup would
+        refuse (a pattern outside its slot's label, or rho out of range)."""
         labels = [IrrepLabel(h) for h in obj["labels"]]
         k3_values = tuple(obj["k3_values"])
         if k3_values != tuple(sorted(_k_family(labels))):
@@ -272,7 +269,13 @@ class CouplingTable:
         if obj["rho_count"] != len(k3_values):
             raise ValueError("serialized rho_count does not match the k3 "
                              "values")
-        return cls(labels=labels, k3_values=k3_values, entries=entries)
+        table = cls(labels=labels, k3_values=k3_values, entries={})
+        for e in obj["entries"]:
+            key = tuple(GelfandPattern.from_json(p).rows for p in e["patterns"])
+            key += (operator.index(e["rho"]),)
+            table._check_key(key)
+            table.entries[key] = SqrtRational.from_json(e["value"])
+        return table
 
     def to_csv(self) -> str:
         lines = ["pattern1,pattern2,pattern3,rho,value"]

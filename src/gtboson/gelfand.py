@@ -1,16 +1,18 @@
 """Gel'fand-Tsetlin patterns for U(n) and their combinatorics.
 
 A pattern is a triangular integer array with rows of length n down to 1,
-adjacent rows interleaving (the Weyl branching law).  This module covers
-pattern enumeration, weights, the Weyl dimension formula, the raising and
-lowering exponent tables, and the parameter monomials of patterns and of
-the 0/1 words that drive the generating-function machinery.
+adjacent rows interleaving (the Weyl branching law), which construction
+checks: every pattern object is valid.  This module covers enumeration,
+weights, the Weyl dimension formula, the raising and lowering exponent
+tables, and the parameter monomials of patterns and of the 0/1 words that
+drive the generating-function machinery.
 
 All objects are immutable; all operations are pure functions.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -88,20 +90,23 @@ def as_label(label) -> IrrepLabel:
 class GelfandPattern:
     """Triangular array, rows ordered top (length n) to bottom (length 1).
 
-    Construction checks the triangle shape only; betweenness is a separate
-    predicate (`validate_pattern`) so that invalid candidates can be
-    represented and rejected explicitly.
+    Construction checks the triangle shape (StructureError) and then every
+    betweenness inequality h_{i,k} >= h_{i,k-1} >= h_{i+1,k} (DomainError
+    naming the first one broken), so every instance is a valid pattern.
     """
 
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, rows: Sequence[Sequence[int]]):
-        rows = tuple(tuple(map(operator.index, row)) for row in rows)
+        rows = _pattern_rows(rows)
         if not rows:
             raise StructureError("pattern must have at least one row")
-        n = len(rows[0])
-        if len(rows) != n or any(len(rows[k]) != n - k for k in range(n)):
+        if list(map(len, rows)) != list(range(len(rows[0]), 0, -1)):
             raise StructureError("pattern rows must have lengths n, n-1, ..., 1")
+        broken = _broken_betweenness(rows)
+        if broken is not None:
+            text = ";".join(",".join(map(str, row)) for row in rows)
+            raise DomainError(f"pattern {text} violates betweenness: {broken}")
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -147,6 +152,14 @@ def as_pattern(p) -> GelfandPattern:
     return p if isinstance(p, GelfandPattern) else GelfandPattern(p)
 
 
+def _pattern_rows(p) -> tuple[tuple[int, ...], ...]:
+    """The rows of a pattern, or of nested rows with every entry through
+    operator.index; neither the shape nor betweenness is checked."""
+    if isinstance(p, GelfandPattern):
+        return p.rows
+    return tuple([tuple(map(operator.index, row)) for row in p])
+
+
 def _broken_betweenness(rows: tuple[tuple[int, ...], ...]) -> str | None:
     """The first betweenness inequality h_{i,k} >= h_{i,k-1} >= h_{i+1,k}
     that the rows of a pattern break, as text; None when all hold."""
@@ -160,30 +173,18 @@ def _broken_betweenness(rows: tuple[tuple[int, ...], ...]) -> str | None:
 
 
 def validate_pattern(p) -> bool:
-    """True iff every betweenness inequality holds between adjacent rows."""
-    return _broken_betweenness(as_pattern(p).rows) is None
-
-
-def require_valid(p: GelfandPattern) -> GelfandPattern:
-    p = as_pattern(p)
-    broken = _broken_betweenness(p.rows)
-    if broken is not None:
-        raise DomainError(f"pattern violates betweenness: {p!r} breaks {broken}")
-    return p
+    """True iff the rows build a pattern (a malformed triangle raises)."""
+    try:
+        as_pattern(p)
+    except DomainError:
+        return False
+    return True
 
 
 def _branch_rows(upper: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """All rows interleaving below `upper`, in descending lexicographic order."""
-
-    def rec(i: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if i == len(upper) - 1:
-            yield prefix
-            return
-        lo, hi = upper[i + 1], upper[i]
-        for v in range(hi, lo - 1, -1):
-            yield from rec(i + 1, prefix + (v,))
-
-    yield from rec(0, ())
+    return itertools.product(*(range(hi, lo - 1, -1)
+                               for hi, lo in zip(upper, upper[1:])))
 
 
 def enumerate_patterns(label) -> list[GelfandPattern]:
@@ -220,7 +221,7 @@ def weyl_dimension(label) -> int:
 
 def weight(p) -> tuple[int, ...]:
     """Weight vector: omega_i = (row-i sum) - (row-(i-1) sum)."""
-    p = require_valid(p)
+    p = as_pattern(p)
     sums = [0] + [sum(p.row(k)) for k in range(1, p.n + 1)]
     return tuple(sums[i] - sums[i - 1] for i in range(1, p.n + 1))
 
@@ -231,13 +232,7 @@ def semimax_pattern(label, sub) -> GelfandPattern:
     sub = as_label(sub)
     if sub.n != label.n - 1:
         raise StructureError("semimax branch must have size n-1")
-    rows = [label.h] + [sub.h[:k] for k in range(sub.n, 0, -1)]
-    p = GelfandPattern(rows)
-    broken = _broken_betweenness(p.rows)
-    if broken is not None:
-        raise DomainError(f"branch {list(sub.h)} violates the branching law "
-                          f"under {list(label.h)}: {broken}")
-    return p
+    return GelfandPattern([label.h] + [sub.h[:k] for k in range(sub.n, 0, -1)])
 
 
 @dataclass(frozen=True)
@@ -248,8 +243,8 @@ class LRExponents:
     R[(lam, mu)] = h_{mu,lam-1} - h_{mu+1,lam}, for 2 <= lam <= n and
     1 <= mu <= lam-1.  L additionally carries the diagonal entries
     L[(lam, lam)] = h_{lam,lam}, the determinant powers used by the
-    branching kernel.  All entries are non-negative exactly when the
-    pattern satisfies betweenness.
+    branching kernel.  All entries are non-negative: they are the
+    betweenness gaps, which construction checks.
     """
 
     L: dict[tuple[int, int], int]

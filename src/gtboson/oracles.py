@@ -11,7 +11,9 @@ suites and the CLI's run-time 3-j check import this module.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,6 +24,7 @@ from .basisgen import (
     _branch_family,
     _finish,
     _prefixes,
+    _u4_indices,
     _upper_minors,
     norm_sq_u3,
 )
@@ -35,7 +38,6 @@ from .gelfand import (
     as_pattern,
     lr_exponents,
     pattern_phi,
-    require_valid,
 )
 from .polyengine import (
     ExactPoly,
@@ -424,7 +426,7 @@ def su3_wigner_secondary(labels, patterns, rho: int = 1) -> Fraction:
     coefficient, read as a binomial sum.  No polynomial is expanded.
     Equals the raw polynomial-expansion coefficient exactly."""
     labels = tuple(as_label(l) for l in labels)
-    pats = tuple(require_valid(as_pattern(p)) for p in patterns)
+    pats = tuple(as_pattern(p) for p in patterns)
     family = _k_family(labels)
     if not family:
         return Fraction(0)
@@ -452,7 +454,7 @@ def su3_wigner_generating(labels, patterns, rho: int = 1) -> Fraction:
     parameters and read the coefficient of the three pattern monomials.
     Agrees exactly with the closed triple-sum route."""
     labels = tuple(as_label(l) for l in labels)
-    pats = tuple(require_valid(as_pattern(p)) for p in patterns)
+    pats = tuple(as_pattern(p) for p in patterns)
     family = _k_family(labels)
     if not family:
         return Fraction(0)
@@ -477,7 +479,7 @@ def norm_sq_u3_hypergeometric(pattern) -> Fraction:
     series times D, see u3_basis_hypergeometric); defined on that form's
     domain, h33 = 0 and h11 >= h23.  Equals
     norm_sq_u3 * (D / C(h12 - h23, h11 - h23))**2."""
-    p = require_valid(as_pattern(pattern))
+    p = as_pattern(pattern)
     if p.n != 3:
         raise DomainError("requires a U(3) pattern")
     h13, h23, h33 = p.row(3)
@@ -496,7 +498,7 @@ def u3_basis_hypergeometric(pattern) -> BasisPolynomial:
     h11 >= h23; other patterns are outside this form's domain.  The series
     is multiplied by its common denominator D = (c)_kmax * kmax!, so each
     step's division must be exact (ConsistencyError otherwise)."""
-    p = require_valid(as_pattern(pattern))
+    p = as_pattern(pattern)
     if p.n != 3:
         raise DomainError("u3_basis_hypergeometric requires a U(3) pattern")
     h13, h23, h33 = p.row(3)
@@ -526,8 +528,11 @@ def u3_basis_hypergeometric(pattern) -> BasisPolynomial:
 def u4_free_index_count(pattern) -> int:
     """Number of free indices left by the U(4) constraint system: twelve
     trinomial indices minus the rank of the ten linear constraints (four
-    group totals and six parameter-matching equations), computed exactly."""
-    p = require_valid(as_pattern(pattern))
+    group totals and six parameter-matching equations), computed exactly,
+    once the five-index sum's index tuples for the pattern are checked to
+    be every non-negative solution of the ten equations (ConsistencyError
+    otherwise), found by brute force over the four groups' splits."""
+    p = as_pattern(pattern)
     if p.n != 4:
         raise DomainError("u4_free_index_count requires a U(4) pattern")
     # Unknowns a..l in order; build constraint matrix rows.
@@ -543,23 +548,29 @@ def u4_free_index_count(pattern) -> int:
         [1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0],  # y(2,1)
         [0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0],  # x(2,1)
     ]
+    lr = lr_exponents(p)
+    L, R = lr.L, lr.R
+    rhs = (R[(4, 1)], L[(4, 2)], R[(4, 2)], L[(4, 3)], R[(3, 1)], L[(3, 1)],
+           L[(3, 2)], R[(3, 2)], R[(2, 1)], L[(2, 1)])
+    splits = itertools.product(*([(u, v, t - u - v) for u in range(t + 1)
+                                  for v in range(t - u + 1)] for t in rhs[:4]))
+    brute = {iv for iv in (sum(split, ()) for split in splits)
+             if all(sum(map(operator.mul, row, iv)) == b
+                    for row, b in zip(rows, rhs))}
+    if set(_u4_indices(lr)) != brute:
+        raise ConsistencyError(f"five-index sum of {p!r} does not run over "
+                               "the solutions of its constraints")
     mat = [[Fraction(v) for v in row] for row in rows]
     rank = 0
-    col = 0
-    while rank < len(mat) and col < 12:
+    for col in range(12):
         pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if pivot is None:
-            col += 1
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [v * inv for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [v - f * w for v, w in zip(mat[r], mat[rank])]
+        for r in range(rank + 1, len(mat)):
+            f = mat[r][col] / mat[rank][col]
+            mat[r] = [v - f * w for v, w in zip(mat[r], mat[rank])]
         rank += 1
-        col += 1
     return 12 - rank
 
 
@@ -604,7 +615,7 @@ def _mirror_expansion(top: tuple[int, ...], row: tuple[int, ...]) -> ExactPoly:
 def p_n_1_oracle(pattern) -> int:
     """Brute-force evaluation factor: expand the parameter mirror of the
     branching kernel and extract the lower pattern's monomial."""
-    p = require_valid(as_pattern(pattern))
+    p = as_pattern(pattern)
     if p.n < 3:
         raise DomainError("oracle defined for n >= 3")
     return _mirror_expansion(p.top, p.row(p.n - 1)).coefficient(

@@ -226,6 +226,9 @@ class ExactPoly:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its int, so it hashes as that int
+        if self.terms.keys() <= {ONE}:
+            return hash(self.terms.get(ONE, 0))
         return hash(frozenset(self.terms.items()))
 
     def __bool__(self) -> bool:

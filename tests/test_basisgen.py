@@ -6,6 +6,7 @@ import pytest
 
 from gtboson.basisgen import (
     _branch_family,
+    _u4_indices,
     basis_from_branching,
     branching_kernel,
     const_A,
@@ -19,6 +20,7 @@ from gtboson.basisgen import (
     u4_basis_closed,
 )
 from gtboson.gelfand import (
+    ConsistencyError,
     DomainError,
     GelfandPattern,
     IrrepLabel,
@@ -181,6 +183,20 @@ class TestU4Basis:
     def test_five_free_indices(self):
         for p in enumerate_patterns([2, 1, 1, 0]):
             assert u4_free_index_count(p) == 5
+
+    def test_free_index_count_checks_the_pattern_sum(self, monkeypatch):
+        # drop the last tuple of the sum: the brute-force solutions differ
+        p = GelfandPattern([[2, 1, 1, 0], [2, 1, 0], [1, 1], [1]])
+        monkeypatch.setattr("gtboson.oracles._u4_indices",
+                            lambda lr: list(_u4_indices(lr))[:-1])
+        with pytest.raises(ConsistencyError, match="five-index sum"):
+            u4_free_index_count(p)
+
+    def test_u5_basis_is_refused(self):
+        # the kernel route is checked up to U(4) only
+        with pytest.raises(DomainError, match=r"n <= 4"):
+            basis_from_branching([[2, 1, 0, 0, 0], [2, 1, 0, 0], [2, 1, 0],
+                                  [1, 1], [1]])
 
     def test_orthogonality(self):
         basis = [basis_from_branching(p) for p in enumerate_patterns([1, 1, 0, 0])]

@@ -407,6 +407,21 @@ class TestCouplingTables:
         with pytest.raises(ValueError, match="rho_count"):
             CouplingTable.from_json(data)
 
+    @pytest.mark.parametrize("rows, rho, match", [
+        ([[1, 0, 0], [3, 0], [0]], 1, r"pattern 1,0,0;3,0;0 violates "
+                                      r"betweenness: h\[1,3\]=1 >= h\[1,2\]=3"),
+        ([[9, 9, 9], [9, 9], [9]], 1, r"slot 1: .*\[9, 9, 9\] is not the label"),
+        (None, 2, r"rho out of range 1\.\.1"),
+    ])
+    def test_json_keys_are_checked(self, rows, rho, match):
+        data = coupling_table(((1, 0, 0), (1, 1, 0), (1, 1, 1))).to_json()
+        entry = data["entries"][0]
+        if rows is not None:
+            entry["patterns"][0] = {"n": 3, "rows": rows}
+        entry["rho"] = rho
+        with pytest.raises(DomainError, match=match):
+            CouplingTable.from_json(data)
+
     def test_csv_deterministic(self):
         t1 = coupling_table(((1, 0, 0), (1, 0, 0), (1, 0, 0))).to_csv()
         t2 = coupling_table(((1, 0, 0), (1, 0, 0), (1, 0, 0))).to_csv()

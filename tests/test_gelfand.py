@@ -12,7 +12,6 @@ from gtboson.gelfand import (
     enumerate_patterns,
     lr_exponents,
     pattern_phi,
-    require_valid,
     semimax_pattern,
     validate_pattern,
     weight,
@@ -51,9 +50,18 @@ class TestValidation:
         with pytest.raises(TypeError):
             GelfandPattern([[entry, 1, 0], [1, 1], [1]])
 
-    def test_require_valid_names_the_broken_inequality(self):
+    def test_construction_names_the_broken_inequality(self):
         with pytest.raises(DomainError, match=r"h\[1,2\]=2 >= h\[1,1\]=3"):
-            require_valid([[2, 1, 0], [2, 1], [3]])
+            GelfandPattern([[2, 1, 0], [2, 1], [3]])
+
+    @pytest.mark.parametrize("build", [
+        GelfandPattern, lr_exponents, pattern_phi, weight,
+        lambda rows: GelfandPattern.from_json({"n": 2, "rows": rows})])
+    def test_no_invalid_pattern_reaches_a_function(self, build):
+        with pytest.raises(DomainError, match=r"^pattern 1,0;2 violates "
+                           r"betweenness: h\[1,2\]=1 >= h\[1,1\]=2 "
+                           r">= h\[2,2\]=0$"):
+            build([[1, 0], [2]])
 
 
 class TestEnumeration:
@@ -125,9 +133,9 @@ class TestExtremePatterns:
         assert semimax_pattern([2, 1, 0], [1, 1]).rows == ((2, 1, 0), (1, 1), (1,))
 
     def test_semimax_rejects_bad_branch(self):
-        with pytest.raises(DomainError, match=r"branching law under \[2, 1, 0\]"
-                                              r": h\[1,3\]=2 >= h\[1,2\]=3 "
-                                              r">= h\[2,3\]=1"):
+        with pytest.raises(DomainError, match=r"pattern 2,1,0;3,0;3 violates "
+                                              r"betweenness: h\[1,3\]=2 >= "
+                                              r"h\[1,2\]=3 >= h\[2,3\]=1"):
             semimax_pattern([2, 1, 0], [3, 0])
 
 
@@ -145,13 +153,15 @@ class TestLRExponents:
         assert all(v == 0 for v in lr.R.values())
 
     def test_validity_iff_nonnegative(self):
-        good = GelfandPattern([[2, 1, 0], [2, 0], [1]])
-        bad = GelfandPattern([[2, 1, 0], [2, 2], [2]])
-        for p, expected in ((good, True), (bad, False)):
+        # an invalid pattern object cannot exist, so every exponent table
+        # is non-negative
+        with pytest.raises(DomainError):
+            GelfandPattern([[2, 1, 0], [2, 2], [2]])
+        assert not validate_pattern([[2, 1, 0], [2, 2], [2]])
+        for p in enumerate_patterns([3, 1, 0]):
             lr = lr_exponents(p)
-            nonneg = (all(v >= 0 for v in lr.L.values())
-                      and all(v >= 0 for v in lr.R.values()))
-            assert nonneg is expected is validate_pattern(p)
+            assert all(v >= 0 for v in lr.L.values())
+            assert all(v >= 0 for v in lr.R.values())
 
 
 class TestPhiMonomial:

@@ -68,6 +68,12 @@ class TestRingOps:
         assert ExactPoly.const(1) != value
         assert ExactPoly.const(1) == 1
 
+    def test_constants_hash_as_the_ints_they_equal(self):
+        assert len({ExactPoly.const(1), 1}) == 1
+        assert 1 in {ExactPoly.const(1)}
+        assert ExactPoly() in {0} and hash(ExactPoly()) == hash(0)
+        assert hash(ExactPoly.const(-1)) == hash(-1)
+
     def test_map_variables_retags_slots(self):
         p = zp(1, 2) ** 2 * 5
         q = p.map_variables(lambda v: (v[0], 7, v[2], v[3]))
