@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
 from .gelfand import (
     DomainError,
@@ -37,6 +36,7 @@ from .gelfand import (
 from .polyengine import (
     ExactPoly,
     Monomial,
+    _Frozen,
     bargmann_inner,
     minor,
     symbolic_matrix,
@@ -61,8 +61,7 @@ __all__ = [
 _fact = math.factorial
 
 
-@dataclass(frozen=True)
-class BasisPolynomial:
+class BasisPolynomial(_Frozen):
     """Unnormalized basis polynomial with its integer Bargmann norm squared.
 
     The polynomial follows the sign convention that its highest monomial
@@ -70,9 +69,21 @@ class BasisPolynomial:
     sqrt(norm_sq) gives the orthonormal Gel'fand vector.
     """
 
-    pattern: GelfandPattern
-    poly: ExactPoly
-    norm_sq: int
+    __slots__ = ("pattern", "poly", "norm_sq")
+
+    def __init__(self, pattern: GelfandPattern, poly: ExactPoly, norm_sq: int):
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "norm_sq", norm_sq)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.pattern == other.pattern and self.poly == other.poly
+                    and self.norm_sq == other.norm_sq)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.pattern, self.poly, self.norm_sq))
 
     def to_json(self) -> dict:
         return {

@@ -8,17 +8,20 @@ Exit codes: 0 on success, 1 on domain rejection (invalid label or pattern,
 with the violated inequality named), 2 on usage errors (malformed numbers,
 config values outside their choices, an unwritable output file), 3 when an
 internal consistency check fails (two routes disagree: a library fault).
+
+Start-up loads the library modules and nothing a command does not run:
+`threej` imports the Racah oracle, `selftest` its suites and `--format
+json` the json module, each when that command runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import chain, islice
-from typing import Iterable
 
 from . import __version__
 from .basisgen import basis_from_branching, p_n_1
@@ -37,12 +40,13 @@ from .gelfand import (
     enumerate_patterns,
     weyl_dimension,
 )
-from .oracles import racah_threej_oracle
-from .selftest import SUITES, run_all
 
 _GROUPS = {"u1": 1, "u2": 2, "u3": 3, "u4": 4, "u5": 5}
 _FORMATS = ("json", "csv", "text")
 _CONFIG_CHOICES = {"group": sorted(_GROUPS), "format": _FORMATS}
+# The names of `selftest.SUITES`, in its order, for `selftest --suite`.
+_SUITES = ("dimensions", "generating", "orthonormality", "closedforms",
+           "pn1", "u4indices", "su2", "su3", "kernel")
 # `patterns` refuses a label with more patterns than this before enumerating.
 _MAX_PATTERNS = 100_000
 # `threej` refuses a larger total spin j1 + j2 + j3 before any arithmetic.
@@ -124,13 +128,9 @@ def _write(fh, chunks: Iterable[str]) -> None:
 
 
 def _json_text(obj) -> str:
+    import json
+
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-# Encodes a pattern list lazily: each pattern becomes its JSON dict only as
-# the encoder reaches it, with the same text as `_json_text`.
-_PATTERNS_JSON = json.JSONEncoder(indent=2, sort_keys=True,
-                                  default=GelfandPattern.to_json)
 
 
 def _cmd_patterns(args) -> Iterable[str]:
@@ -141,8 +141,14 @@ def _cmd_patterns(args) -> Iterable[str]:
                           f"than the limit of {_MAX_PATTERNS}")
     pats = enumerate_patterns(label)
     if args.format == "json":
+        import json
+
+        # each pattern becomes its JSON dict only as the encoder reaches it,
+        # with the same text as `_json_text`
+        encoder = json.JSONEncoder(indent=2, sort_keys=True,
+                                   default=GelfandPattern.to_json)
         doc = {"label": list(label.h), "count": len(pats), "patterns": pats}
-        return chain(_PATTERNS_JSON.iterencode(doc), ("\n",))
+        return chain(encoder.iterencode(doc), ("\n",))
     lines = (";".join(",".join(str(v) for v in row) for row in p.rows) + "\n"
              for p in pats)
     if args.format == "csv":
@@ -193,6 +199,8 @@ def _cmd_threej(args) -> str:
         raise DomainError(f"total spin J = {sum(js)} is more than the limit "
                           f"of {_MAX_TOTAL_SPIN}")
     value = su2_threej(*pats)
+    from .oracles import racah_threej_oracle
+
     oracle = racah_threej_oracle(*(x for jm in zip(js, ms) for x in jm))
     if value != oracle:
         raise ConsistencyError(f"3-j value {value.text()} differs from the "
@@ -242,6 +250,8 @@ def _cmd_isoscalar(args) -> str:
 
 
 def _cmd_selftest(args) -> str:
+    from .selftest import run_all
+
     results = run_all(args.suite)
     lines = [r.line() for r in results]
     ok = all(r.ok for r in results)
@@ -314,7 +324,7 @@ def build_parser(defaults: dict[str, str]) -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_isoscalar)
 
     p = sub.add_parser("selftest", help="run the verification suites")
-    p.add_argument("--suite", action="append", choices=list(SUITES),
+    p.add_argument("--suite", action="append", choices=_SUITES,
                    help="restrict to this suite (repeatable)")
     common(p, group=False)
     p.set_defaults(fn=_cmd_selftest)

@@ -35,9 +35,9 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 from .basisgen import _branch_poly
 from .gelfand import (

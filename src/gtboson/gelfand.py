@@ -15,11 +15,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
-from typing import Iterator, Sequence
 
-from .polyengine import Monomial, mono_from_map, xvar, yvar
+from .polyengine import Monomial, _Frozen, mono_from_map, xvar, yvar
 
 __all__ = [
     "StructureError",
@@ -52,11 +51,10 @@ class ConsistencyError(Exception):
     the library, not in its input (deliberately not a ValueError)."""
 
 
-@dataclass(frozen=True)
-class IrrepLabel:
+class IrrepLabel(_Frozen):
     """Highest weight [h_1 >= h_2 >= ... >= h_n >= 0] of a U(n) irrep."""
 
-    h: tuple[int, ...]
+    __slots__ = ("h",)
 
     def __init__(self, h: Sequence[int]):
         h = tuple(map(operator.index, h))
@@ -70,6 +68,14 @@ class IrrepLabel:
         if h[-1] < 0:
             raise DomainError(f"label entries must be non-negative: h[{len(h)}]={h[-1]}")
         object.__setattr__(self, "h", h)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.h == other.h
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.h)
 
     @property
     def n(self) -> int:
@@ -86,8 +92,7 @@ def as_label(label) -> IrrepLabel:
     return label if isinstance(label, IrrepLabel) else IrrepLabel(label)
 
 
-@dataclass(frozen=True)
-class GelfandPattern:
+class GelfandPattern(_Frozen):
     """Triangular array, rows ordered top (length n) to bottom (length 1).
 
     Construction checks the triangle shape (StructureError) and then every
@@ -95,7 +100,7 @@ class GelfandPattern:
     naming the first one broken), so every instance is a valid pattern.
     """
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
 
     def __init__(self, rows: Sequence[Sequence[int]]):
         rows = _pattern_rows(rows)
@@ -108,6 +113,14 @@ class GelfandPattern:
             text = ";".join(",".join(map(str, row)) for row in rows)
             raise DomainError(f"pattern {text} violates betweenness: {broken}")
         object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.rows)
 
     @property
     def n(self) -> int:
@@ -235,8 +248,7 @@ def semimax_pattern(label, sub) -> GelfandPattern:
     return GelfandPattern([label.h] + [sub.h[:k] for k in range(sub.n, 0, -1)])
 
 
-@dataclass(frozen=True)
-class LRExponents:
+class LRExponents(_Frozen):
     """Raising/lowering exponent tables of a pattern.
 
     L[(lam, mu)] = h_{mu,lam} - h_{mu,lam-1} and
@@ -244,11 +256,23 @@ class LRExponents:
     1 <= mu <= lam-1.  L additionally carries the diagonal entries
     L[(lam, lam)] = h_{lam,lam}, the determinant powers used by the
     branching kernel.  All entries are non-negative: they are the
-    betweenness gaps, which construction checks.
+    betweenness gaps, which construction checks.  The tables are dicts,
+    so an instance is not hashable.
     """
 
-    L: dict[tuple[int, int], int]
-    R: dict[tuple[int, int], int]
+    __slots__ = ("L", "R")
+
+    def __init__(self, L: dict[tuple[int, int], int],
+                 R: dict[tuple[int, int], int]):
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "R", R)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.L == other.L and self.R == other.R
+        return NotImplemented
+
+    __hash__ = None
 
 
 def lr_exponents(p) -> LRExponents:

@@ -14,10 +14,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 from .basisgen import (
     BasisPolynomial,
@@ -43,6 +42,7 @@ from .polyengine import (
     ExactPoly,
     Monomial,
     SqrtRational,
+    _Frozen,
     mono_mul,
     xvar,
     yvar,
@@ -187,19 +187,29 @@ def w_invariants() -> tuple[ExactPoly, ...]:
     return tuple(ws)
 
 
-@dataclass(frozen=True)
-class SU6Indices:
+class SU6Indices(_Frozen):
     """The free entries of the six-row invariant pattern; h11 equals h12 by
     convention (the printed bottom row)."""
 
-    h13: int
-    h24: int
-    h34: int
-    h23: int
-    h33: int
-    h12: int
-    h22: int
-    h11: int
+    __slots__ = ("h13", "h24", "h34", "h23", "h33", "h12", "h22", "h11")
+
+    def __init__(self, h13: int, h24: int, h34: int, h23: int, h33: int,
+                 h12: int, h22: int, h11: int):
+        for name, value in zip(self.__slots__,
+                               (h13, h24, h34, h23, h33, h12, h22, h11)):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple[int, ...]:
+        return (self.h13, self.h24, self.h34, self.h23, self.h33, self.h12,
+                self.h22, self.h11)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
 
 
 def k_exponents(su6: SU6Indices) -> tuple[int, ...]:

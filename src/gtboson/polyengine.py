@@ -18,11 +18,10 @@ call from multiple threads.
 from __future__ import annotations
 
 import math
-import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from itertools import compress
 
 __all__ = [
     "VarId",
@@ -51,6 +50,33 @@ VarId = tuple[str, int, int, int]
 Monomial = tuple[tuple[VarId, int], ...]
 
 ONE: Monomial = ()
+
+
+class _Frozen:
+    """Base of the immutable value classes (`SqrtRational`, `IrrepLabel`,
+    `GelfandPattern`, ...).
+
+    A subclass lists its fields in `__slots__`, sets them in `__init__`
+    through `object.__setattr__`, and writes `__eq__` and `__hash__` over
+    them.  Its `__init__` takes the fields positionally in slot order:
+    pickling and copying rebuild an instance through it.  Assigning or
+    deleting an attribute afterwards raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
 
 def zvar(row: int, col: int, slot: int = 0) -> VarId:
@@ -380,8 +406,17 @@ def bargmann_inner(p: ExactPoly, q: ExactPoly) -> int:
 # Integer factorization helpers for canonical square-free decomposition.
 # ---------------------------------------------------------------------------
 
-_SMALL_PRIMES = [p for p in range(2, 1000)
-                 if all(p % q for q in range(2, int(p ** 0.5) + 1))]
+def _primes_below(n: int) -> list[int]:
+    """The primes below n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return list(compress(range(n), sieve))
+
+
+_SMALL_PRIMES = _primes_below(1000)
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -411,6 +446,8 @@ def _is_probable_prime(n: int) -> bool:
 def _pollard_rho(n: int) -> int:
     if n % 2 == 0:
         return 2
+    import random  # only composites with no factor below 1000 get here
+
     rng = random.Random(0xC0FFEE ^ n)
     while True:
         c = rng.randrange(1, n)
@@ -464,8 +501,7 @@ def squarefree_split(n: int) -> tuple[int, int]:
     return a, b
 
 
-@dataclass(frozen=True)
-class SqrtRational:
+class SqrtRational(_Frozen):
     """Exact value q * sqrt(r) with q rational and r >= 0 rational.
 
     Canonical form: the radicand is 1/m for a square-free positive integer m
@@ -474,8 +510,7 @@ class SqrtRational:
     same-radicand values can be added; products are always defined.
     """
 
-    q: Fraction
-    r: Fraction
+    __slots__ = ("q", "r")
 
     def __init__(self, q, r=Fraction(1)):
         q = _frac(q)
@@ -555,6 +590,14 @@ class SqrtRational:
 
     def __abs__(self) -> "SqrtRational":
         return SqrtRational(abs(self.q), self.r)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.q, self.r) == (other.q, other.r)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.q, self.r))
 
     def is_zero(self) -> bool:
         return self.q == 0

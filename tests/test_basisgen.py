@@ -181,8 +181,11 @@ class TestU4Basis:
                 assert a.poly == c.poly and a.norm_sq == c.norm_sq
 
     def test_five_free_indices(self):
-        for p in enumerate_patterns([2, 1, 1, 0]):
-            assert u4_free_index_count(p) == 5
+        # on [2,1,1,0] R_{4,2} = 0 for every pattern, so the free index g of
+        # the sum stays 0; [3,2,1,0] has 32 of 64 patterns with R_{4,2} > 0
+        for label in ([2, 1, 1, 0], [3, 2, 1, 0]):
+            for p in enumerate_patterns(label):
+                assert u4_free_index_count(p) == 5
 
     def test_free_index_count_checks_the_pattern_sum(self, monkeypatch):
         # drop the last tuple of the sum: the brute-force solutions differ

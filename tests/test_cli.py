@@ -75,7 +75,7 @@ def test_threej_refuses_a_total_spin_over_the_limit(capsys, monkeypatch, j, m):
         raise AssertionError("3-j work started")
 
     monkeypatch.setattr(cli, "su2_threej", started)
-    monkeypatch.setattr(cli, "racah_threej_oracle", started)
+    monkeypatch.setattr("gtboson.oracles.racah_threej_oracle", started)
     code, out, err = run_cli(capsys, "threej", "--j", j, "--m", m)
     assert code == 1 and out == ""
     assert err.startswith("error: total spin J = ")
@@ -138,7 +138,8 @@ def test_isoscalar(capsys):
 def test_internal_disagreement_exits_3(capsys, monkeypatch):
     from gtboson.polyengine import SqrtRational
 
-    monkeypatch.setattr(cli, "racah_threej_oracle",
+    # `threej` imports the oracle when it runs, so patch it where it lives
+    monkeypatch.setattr("gtboson.oracles.racah_threej_oracle",
                         lambda *a: SqrtRational(2))
     code, out, err = run_cli(capsys, "threej", "--j", "0.5,0.5,0",
                              "--m", "0.5,-0.5,0")
@@ -259,6 +260,13 @@ def test_malformed_number_is_a_usage_error(capsys, argv):
 def test_selftest_filter(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--suite", "generating")
     assert code == 0 and "PASS" in out and "ALL SUITES PASS" in out
+
+
+def test_suite_choices_are_the_selftest_suites():
+    # the CLI names the suites without importing selftest at start-up
+    from gtboson import selftest
+
+    assert cli._SUITES == tuple(selftest.SUITES)
 
 
 def test_selftest_unknown_suite(capsys):
