@@ -76,15 +76,6 @@ class BasisPolynomial(_Frozen):
         object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "norm_sq", norm_sq)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.pattern == other.pattern and self.poly == other.poly
-                    and self.norm_sq == other.norm_sq)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.pattern, self.poly, self.norm_sq))
-
     def to_json(self) -> dict:
         return {
             "pattern": self.pattern.to_json(),

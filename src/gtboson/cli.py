@@ -37,6 +37,7 @@ from .gelfand import (
     GelfandPattern,
     IrrepLabel,
     StructureError,
+    _rows_text,
     enumerate_patterns,
     weyl_dimension,
 )
@@ -149,8 +150,7 @@ def _cmd_patterns(args) -> Iterable[str]:
                                    default=GelfandPattern.to_json)
         doc = {"label": list(label.h), "count": len(pats), "patterns": pats}
         return chain(encoder.iterencode(doc), ("\n",))
-    lines = (";".join(",".join(str(v) for v in row) for row in p.rows) + "\n"
-             for p in pats)
+    lines = (_rows_text(p.rows) + "\n" for p in pats)
     if args.format == "csv":
         return chain(("pattern\n",), lines)
     return lines
@@ -228,8 +228,7 @@ def _cmd_su3cg(args) -> str:
         return table.to_csv()
     lines = [f"rho_count={table.rho_count}"]
     for key in table.nonzero_keys():
-        pats = [";".join(",".join(str(v) for v in row) for row in rows)
-                for rows in key[:3]]
+        pats = [_rows_text(rows) for rows in key[:3]]
         lines.append(f"{pats[0]} | {pats[1]} | {pats[2]} | rho={key[3]} | "
                      f"{table.entries[key].text()}")
     return "\n".join(lines) + "\n"

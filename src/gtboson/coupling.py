@@ -47,6 +47,7 @@ from .gelfand import (
     IrrepLabel,
     _broken_betweenness,
     _pattern_rows,
+    _rows_text,
     as_label,
     as_pattern,
     patterns_of,
@@ -280,8 +281,7 @@ class CouplingTable:
     def to_csv(self) -> str:
         lines = ["pattern1,pattern2,pattern3,rho,value"]
         for key, val in self._ordered():
-            pats = [";".join(",".join(str(v) for v in row) for row in rows)
-                    for rows in key[:3]]
+            pats = [_rows_text(rows) for rows in key[:3]]
             lines.append(f"{pats[0]},{pats[1]},{pats[2]},{key[3]},{val.text()}")
         return "\n".join(lines) + "\n"
 

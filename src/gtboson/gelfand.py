@@ -69,14 +69,6 @@ class IrrepLabel(_Frozen):
             raise DomainError(f"label entries must be non-negative: h[{len(h)}]={h[-1]}")
         object.__setattr__(self, "h", h)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.h == other.h
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.h)
-
     @property
     def n(self) -> int:
         return len(self.h)
@@ -110,17 +102,9 @@ class GelfandPattern(_Frozen):
             raise StructureError("pattern rows must have lengths n, n-1, ..., 1")
         broken = _broken_betweenness(rows)
         if broken is not None:
-            text = ";".join(",".join(map(str, row)) for row in rows)
-            raise DomainError(f"pattern {text} violates betweenness: {broken}")
+            raise DomainError(
+                f"pattern {_rows_text(rows)} violates betweenness: {broken}")
         object.__setattr__(self, "rows", rows)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.rows == other.rows
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.rows)
 
     @property
     def n(self) -> int:
@@ -171,6 +155,11 @@ def _pattern_rows(p) -> tuple[tuple[int, ...], ...]:
     if isinstance(p, GelfandPattern):
         return p.rows
     return tuple([tuple(map(operator.index, row)) for row in p])
+
+
+def _rows_text(rows: tuple[tuple[int, ...], ...]) -> str:
+    """Pattern rows as the text `a,b,c;d,e;f` that the command line reads."""
+    return ";".join(",".join(map(str, row)) for row in rows)
 
 
 def _broken_betweenness(rows: tuple[tuple[int, ...], ...]) -> str | None:
@@ -266,11 +255,6 @@ class LRExponents(_Frozen):
                  R: dict[tuple[int, int], int]):
         object.__setattr__(self, "L", L)
         object.__setattr__(self, "R", R)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.L == other.L and self.R == other.R
-        return NotImplemented
 
     __hash__ = None
 

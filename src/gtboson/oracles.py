@@ -199,18 +199,6 @@ class SU6Indices(_Frozen):
                                (h13, h24, h34, h23, h33, h12, h22, h11)):
             object.__setattr__(self, name, value)
 
-    def _fields(self) -> tuple[int, ...]:
-        return (self.h13, self.h24, self.h34, self.h23, self.h33, self.h12,
-                self.h22, self.h11)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields())
-
 
 def k_exponents(su6: SU6Indices) -> tuple[int, ...]:
     """Invariant exponents (k1..k7) read off the six-row pattern entries."""

@@ -18,6 +18,7 @@ call from multiple threads.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
@@ -56,14 +57,27 @@ class _Frozen:
     """Base of the immutable value classes (`SqrtRational`, `IrrepLabel`,
     `GelfandPattern`, ...).
 
-    A subclass lists its fields in `__slots__`, sets them in `__init__`
-    through `object.__setattr__`, and writes `__eq__` and `__hash__` over
-    them.  Its `__init__` takes the fields positionally in slot order:
-    pickling and copying rebuild an instance through it.  Assigning or
-    deleting an attribute afterwards raises AttributeError.
+    A subclass lists its fields in `__slots__` and sets them in `__init__`
+    through `object.__setattr__`.  Its `__init__` takes the fields
+    positionally in slot order: pickling and copying rebuild an instance
+    through it.  Assigning or deleting an attribute afterwards raises
+    AttributeError.  Two instances are equal when their class and fields
+    are; the hash is that of the single field, or of the tuple of fields.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = operator.attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) == self._fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -590,14 +604,6 @@ class SqrtRational(_Frozen):
 
     def __abs__(self) -> "SqrtRational":
         return SqrtRational(abs(self.q), self.r)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.q, self.r) == (other.q, other.r)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.q, self.r))
 
     def is_zero(self) -> bool:
         return self.q == 0

@@ -4,6 +4,12 @@ Each suite checks one exact property of the library against an independent
 route (enumeration vs closed formula, expansion vs oracle, table vs
 orthogonality) and returns a short report.  The command-line `selftest`
 subcommand and the acceptance test module both run these.
+
+A suite is written as a generator of its checks: each check yields True when
+it holds and its failure text when it fails, so the text is only built on
+failure.  A guard that is not counted as a check yields text only when it
+fails.  One runner (`_suite`) counts the True yields, stops at the first
+failure text and builds the suite's `SuiteResult`.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from . import basisgen, coupling, gelfand, oracles
 from .gelfand import GelfandPattern, IrrepLabel, enumerate_patterns, patterns_of
@@ -44,6 +50,23 @@ class SuiteResult:
         return f"{status}  {self.name}: {self.checks} checks{extra}"
 
 
+def _suite(name: str, scope: str):
+    """Make a generator of checks into a suite returning its SuiteResult:
+    PASS with the number of checks and `scope`, or FAIL with the checks that
+    passed before the first failure and that failure's text."""
+    def decorate(checks_of):
+        @wraps(checks_of)
+        def run() -> SuiteResult:
+            passed = 0
+            for outcome in checks_of():
+                if outcome is not True:
+                    return SuiteResult(name, False, passed, outcome)
+                passed += 1
+            return SuiteResult(name, True, passed, scope)
+        return run
+    return decorate
+
+
 def _labels_upto(n: int, hmax: int):
     for h in itertools.combinations_with_replacement(range(hmax, -1, -1), n):
         yield IrrepLabel(h)
@@ -52,16 +75,12 @@ def _labels_upto(n: int, hmax: int):
 # -- 1. dimension vs enumeration --------------------------------------------
 
 
-def suite_dimensions() -> SuiteResult:
-    checks = 0
+@_suite("dimension-enumeration", "n<=5, h1<=4")
+def suite_dimensions():
     for n in range(1, 6):
         for label in _labels_upto(n, 4):
-            if len(enumerate_patterns(label)) != gelfand.weyl_dimension(label):
-                return SuiteResult("dimension-enumeration", False, checks,
-                                   f"mismatch at {label!r}")
-            checks += 1
-    return SuiteResult("dimension-enumeration", True, checks,
-                       "n<=5, h1<=4")
+            yield (len(enumerate_patterns(label)) == gelfand.weyl_dimension(label)
+                   or f"mismatch at {label!r}")
 
 
 # -- 2. generating-function golden fixtures ---------------------------------
@@ -134,100 +153,72 @@ GOLDEN_PHI_N5 = {
 }
 
 
-def suite_generating_function() -> SuiteResult:
-    checks = 0
+@_suite("generating-function-fixtures", "7 + 15 + 31 words")
+def suite_generating_function():
     for n, golden in ((3, GOLDEN_PHI_N3), (4, GOLDEN_PHI_N4), (5, GOLDEN_PHI_N5)):
         words = sorted((bits for bits in itertools.product((0, 1), repeat=n)
                         if any(bits)), key=lambda bits: (sum(bits), bits))
         if len(words) != len(golden):
-            return SuiteResult("generating-function-fixtures", False, checks,
-                               f"word count for n={n}")
+            yield f"word count for n={n}"
         for bits in words:
             w = "".join(map(str, bits))
             got = mono_text(gelfand._phi_bits(bits, 0))
-            if got != golden[w]:
-                return SuiteResult(
-                    "generating-function-fixtures", False, checks,
-                    f"word {w}: {got} != {golden[w]}")
-            checks += 1
-    return SuiteResult("generating-function-fixtures", True, checks,
-                       "7 + 15 + 31 words")
+            yield got == golden[w] or f"word {w}: {got} != {golden[w]}"
 
 
 # -- 3. orthonormality and norm formulas -------------------------------------
 
 
-def suite_orthonormality() -> SuiteResult:
-    checks = 0
+@_suite("orthonormality", "U(2) h1<=4, U(3) h1<=3")
+def suite_orthonormality():
     for label in _labels_upto(2, 4):
         basis = [basisgen.basis_from_branching(p) for p in patterns_of(label)]
         for i, bi in enumerate(basis):
-            if bargmann_inner(bi.poly, bi.poly) != bi.norm_sq:
-                return SuiteResult("orthonormality", False, checks, "stored norm")
-            if bi.norm_sq != basisgen.norm_sq_u2(bi.pattern):
-                return SuiteResult("orthonormality", False, checks,
-                                   f"U(2) norm formula at {bi.pattern!r}")
+            yield bargmann_inner(bi.poly, bi.poly) == bi.norm_sq or "stored norm"
+            yield (bi.norm_sq == basisgen.norm_sq_u2(bi.pattern)
+                   or f"U(2) norm formula at {bi.pattern!r}")
             for bj in basis[i + 1:]:
-                if bargmann_inner(bi.poly, bj.poly) != 0:
-                    return SuiteResult("orthonormality", False, checks,
-                                       f"U(2) pair {bi.pattern!r}")
-                checks += 1
-            checks += 2
+                yield (bargmann_inner(bi.poly, bj.poly) == 0
+                       or f"U(2) pair {bi.pattern!r}")
     for label in _labels_upto(3, 3):
         basis = [basisgen.basis_from_branching(p) for p in patterns_of(label)]
         for i, bi in enumerate(basis):
-            if bi.norm_sq != basisgen.norm_sq_u3(bi.pattern):
-                return SuiteResult("orthonormality", False, checks,
-                                   f"U(3) norm formula at {bi.pattern!r}")
+            yield (bi.norm_sq == basisgen.norm_sq_u3(bi.pattern)
+                   or f"U(3) norm formula at {bi.pattern!r}")
             for bj in basis[i + 1:]:
-                if bargmann_inner(bi.poly, bj.poly) != 0:
-                    return SuiteResult("orthonormality", False, checks,
-                                       f"U(3) pair {bi.pattern!r}")
-                checks += 1
-            checks += 1
+                yield (bargmann_inner(bi.poly, bj.poly) == 0
+                       or f"U(3) pair {bi.pattern!r}")
         # semi-maximal closed norm per branch
         for row2 in {p.row(label.n - 1) for p in patterns_of(label)}:
             sm = gelfand.semimax_pattern(label, row2)
-            if (basisgen.basis_from_branching(sm).norm_sq
-                    != basisgen.norm_sq_semimax(label, row2)):
-                return SuiteResult("orthonormality", False, checks,
-                                   f"semimax norm at {label!r}->{row2}")
-            checks += 1
-    return SuiteResult("orthonormality", True, checks,
-                       "U(2) h1<=4, U(3) h1<=3")
+            yield (basisgen.basis_from_branching(sm).norm_sq
+                   == basisgen.norm_sq_semimax(label, row2)
+                   or f"semimax norm at {label!r}->{row2}")
 
 
 # -- 4. closed forms vs branching oracle -------------------------------------
 
 
-def suite_closed_forms() -> SuiteResult:
-    checks = 0
+@_suite("closed-forms", "U(3) [2,1,0]; U(4) [1,1,0,0], [2,1,0,0]")
+def suite_closed_forms():
     for p in patterns_of(IrrepLabel((2, 1, 0))):
         a = basisgen.basis_from_branching(p)
         c = basisgen.u3_basis_closed(p)
-        if a.poly != c.poly or a.norm_sq != c.norm_sq:
-            return SuiteResult("closed-forms", False, checks, f"U(3) {p!r}")
-        checks += 1
+        yield a.poly == c.poly and a.norm_sq == c.norm_sq or f"U(3) {p!r}"
         h = p.rows
         if h[0][2] == 0 and h[2][0] >= h[0][1]:
             hb = oracles.u3_basis_hypergeometric(p)
             ca, ch = a.poly.leading_coefficient(), hb.poly.leading_coefficient()
+            # form and norm are one check with two failure texts
             if a.poly * ch != hb.poly * ca:
-                return SuiteResult("closed-forms", False, checks,
-                                   f"2F1 form {p!r}")
-            if hb.norm_sq != oracles.norm_sq_u3_hypergeometric(p):
-                return SuiteResult("closed-forms", False, checks,
-                                   f"2F1 norm {p!r}")
-            checks += 1
+                yield f"2F1 form {p!r}"
+            yield (hb.norm_sq == oracles.norm_sq_u3_hypergeometric(p)
+                   or f"2F1 norm {p!r}")
     for h in ((1, 1, 0, 0), (2, 1, 0, 0)):
         for p in patterns_of(IrrepLabel(h)):
             a = basisgen.basis_from_branching(p)
             c = basisgen.u4_basis_closed(p)
-            if a.poly != c.poly or a.norm_sq != c.norm_sq:
-                return SuiteResult("closed-forms", False, checks, f"U(4) {p!r}")
-            checks += 1
-    return SuiteResult("closed-forms", True, checks,
-                       "U(3) [2,1,0]; U(4) [1,1,0,0], [2,1,0,0]")
+            yield a.poly == c.poly and a.norm_sq == c.norm_sq or f"U(4) {p!r}"
 
 
 # -- 5. combinatorial evaluation factors --------------------------------------
@@ -289,12 +280,11 @@ def _mirror_power(n: int, sums: tuple) -> ExactPoly:
     return out
 
 
-def _pn1_sweep(n: int, bound: int) -> int:
+def _pn1_sweep(n: int, bound: int):
     """Every monomial of every mirror expansion with the acting exponents
     bounded must carry the library's evaluation-factor product as coefficient;
     a sample of monomials per expansion is additionally pushed through the
     full pattern reconstruction and the public p_n_1."""
-    checks = 0
     done_sums: set = set()
     for exps in itertools.product(range(bound + 1), repeat=2 * n - 4):
         # acting tuple ordered (R_n^1..R_n^(n-2), L_n^2..L_n^(n-1))
@@ -304,9 +294,8 @@ def _pn1_sweep(n: int, bound: int) -> int:
         if sums not in done_sums:
             done_sums.add(sums)
             for mono, coeff in expansion.terms.items():
-                if coeff != basisgen._pn1_product(_pn1_table(n, sums, mono)):
-                    raise AssertionError(f"pn1 mismatch at {top}/{row} {mono}")
-                checks += 1
+                yield (coeff == basisgen._pn1_product(_pn1_table(n, sums, mono))
+                       or f"pn1 mismatch at {top}/{row} {mono}")
         # independently drive the public closed form on sampled patterns
         step = max(1, len(expansion.terms) // 5)
         for i, (mono, coeff) in enumerate(expansion.terms.items()):
@@ -314,55 +303,44 @@ def _pn1_sweep(n: int, bound: int) -> int:
                 continue
             lower = _reconstruct_lower(row, mono)
             if lower is None:
-                raise AssertionError(f"stray monomial {mono} for {top}/{row}")
+                yield f"stray monomial {mono} for {top}/{row}"
             full = GelfandPattern((top,) + lower.rows)
-            if coeff != basisgen.p_n_1(full):
-                raise AssertionError(f"pn1 mismatch at {full!r}")
-            checks += 1
-    return checks
+            yield coeff == basisgen.p_n_1(full) or f"pn1 mismatch at {full!r}"
 
 
-def suite_pn1() -> SuiteResult:
-    checks = 0
-    try:
-        checks += _pn1_sweep(3, 3)
-        checks += _pn1_sweep(4, 3)
-        checks += _pn1_sweep(5, 2)
-        # spectator exponents (L_n^1 and the determinant power) enter neither
-        # side; spot-check a shifted pattern family
-        for p in patterns_of(IrrepLabel((3, 2, 1, 1, 0))):
-            expansion = oracles._mirror_expansion(p.top, p.row(4))
-            target = gelfand.pattern_phi(p.lower())
-            if expansion.coefficient(target) != basisgen.p_n_1(p):
-                raise AssertionError(f"pn1 mismatch at {p!r}")
-            checks += 1
-    except AssertionError as exc:
-        return SuiteResult("pn1", False, checks, str(exc))
-    return SuiteResult("pn1", True, checks,
-                       "exponents <=3 (n=3,4), <=2 (n=5)")
+@_suite("pn1", "exponents <=3 (n=3,4), <=2 (n=5)")
+def suite_pn1():
+    yield from _pn1_sweep(3, 3)
+    yield from _pn1_sweep(4, 3)
+    yield from _pn1_sweep(5, 2)
+    # spectator exponents (L_n^1 and the determinant power) enter neither
+    # side; spot-check a shifted pattern family
+    for p in patterns_of(IrrepLabel((3, 2, 1, 1, 0))):
+        expansion = oracles._mirror_expansion(p.top, p.row(4))
+        target = gelfand.pattern_phi(p.lower())
+        yield (expansion.coefficient(target) == basisgen.p_n_1(p)
+               or f"pn1 mismatch at {p!r}")
 
 
 # -- 6. five free indices in the U(4) sum -------------------------------------
 
 
-def suite_u4_free_indices() -> SuiteResult:
-    checks = 0
-    labels = [h for h in itertools.combinations_with_replacement(
-        range(2, -1, -1), 4) if max(h) >= 1]
-    for h in labels:
+_U4_LABELS = [h for h in itertools.combinations_with_replacement(
+    range(2, -1, -1), 4) if max(h) >= 1]
+
+
+@_suite("u4-free-indices", f"{len(_U4_LABELS)} labels, h1<=2")
+def suite_u4_free_indices():
+    for h in _U4_LABELS:
         for p in patterns_of(IrrepLabel(h)):
-            if oracles.u4_free_index_count(p) != 5:
-                return SuiteResult("u4-free-indices", False, checks, f"{p!r}")
-            checks += 1
-    return SuiteResult("u4-free-indices", True, checks,
-                       f"{len(labels)} labels, h1<=2")
+            yield oracles.u4_free_index_count(p) == 5 or f"{p!r}"
 
 
 # -- 7. SU(2) three-j vs the factorial-sum oracle -----------------------------
 
 
-def suite_su2_threej() -> SuiteResult:
-    checks = 0
+@_suite("su2-threej", "oracle j<=3, orthogonality j<=2, reflection")
+def suite_su2_threej():
     for tj1, tj2, tj3 in itertools.product(range(7), repeat=3):
         if (tj1 + tj2 + tj3) % 2:
             continue
@@ -377,10 +355,7 @@ def suite_su2_threej() -> SuiteResult:
                 b = oracles.racah_threej_oracle(
                     Fraction(tj1, 2), Fraction(tm1, 2), Fraction(tj2, 2),
                     Fraction(tm2, 2), Fraction(tj3, 2), Fraction(tm3, 2))
-                if a != b:
-                    return SuiteResult("su2-threej", False, checks,
-                                       f"{(tj1, tm1, tj2, tm2, tj3, tm3)}")
-                checks += 1
+                yield a == b or f"{(tj1, tm1, tj2, tm2, tj3, tm3)}"
     # orthogonality over magnetic numbers, j <= 2
     for tj1, tj2 in itertools.product(range(5), repeat=2):
         for tj3 in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
@@ -405,10 +380,8 @@ def suite_su2_threej() -> SuiteResult:
                     acc = {r: q for r, q in acc.items() if q}
                     expect = ({Fraction(1): Fraction(1)}
                               if tj3 == tj3b else {})
-                    if acc != expect:
-                        return SuiteResult("su2-threej", False, checks,
-                                           f"orthogonality {(tj1, tj2, tj3, tj3b, tm3)}")
-                    checks += 1
+                    yield (acc == expect
+                           or f"orthogonality {(tj1, tj2, tj3, tj3b, tm3)}")
     # reflection symmetry: complementing every pattern flips by (-1)^(j+m) each
     for tj1, tj2, tj3 in itertools.product(range(5), repeat=3):
         if (tj1 + tj2 + tj3) % 2:
@@ -423,12 +396,8 @@ def suite_su2_threej() -> SuiteResult:
                 refl = [GelfandPattern([[tj, 0], [(tj - tm) // 2]])
                         for tj, tm in ((tj1, tm1), (tj2, tm2), (tj3, tm3))]
                 sign = (-1) ** (((tj1 + tm1) + (tj2 + tm2) + (tj3 + tm3)) // 2)
-                if coupling.su2_threej(*refl) != coupling.su2_threej(*pats) * sign:
-                    return SuiteResult("su2-threej", False, checks,
-                                       f"reflection {(tj1, tm1, tj2, tm2)}")
-                checks += 1
-    return SuiteResult("su2-threej", True, checks,
-                       "oracle j<=3, orthogonality j<=2, reflection")
+                yield (coupling.su2_threej(*refl) == coupling.su2_threej(*pats) * sign
+                       or f"reflection {(tj1, tm1, tj2, tm2)}")
 
 
 # -- 8. SU(3) coupling tables --------------------------------------------------
@@ -464,20 +433,16 @@ def _block_sums(table, labels):
                     yield (rho, rho2, i3, j3), acc
 
 
-def suite_su3_coupling() -> SuiteResult:
-    checks = 0
+@_suite("su3-coupling", "3x3, 3x3bar, 8x8 (rho=2)")
+def suite_su3_coupling():
     for labels in _SU3_CASES:
         table = coupling.coupling_table(labels)
         if labels == ((2, 1, 0), (2, 1, 0), (2, 1, 0)) and table.rho_count != 2:
-            return SuiteResult("su3-coupling", False, checks,
-                               "octet multiplicity != 2")
+            yield "octet multiplicity != 2"
         for (rho, rho2, i3, j3), acc in _block_sums(table, labels):
             expect = ({Fraction(1): Fraction(1)}
                       if (rho == rho2 and i3 == j3) else {})
-            if acc != expect:
-                return SuiteResult("su3-coupling", False, checks,
-                                   f"unitarity {labels} {(rho, rho2, i3, j3)}")
-            checks += 1
+            yield acc == expect or f"unitarity {labels} {(rho, rho2, i3, j3)}"
         # path agreement: generating-function expansion vs closed triple sum
         pats = [patterns_of(IrrepLabel(h)) for h in labels]
         for rho in range(1, table.rho_count + 1):
@@ -486,10 +451,7 @@ def suite_su3_coupling() -> SuiteResult:
                     for p3 in pats[2]:
                         a = oracles.su3_wigner_generating(labels, (p1, p2, p3), rho)
                         b = oracles.su3_wigner_secondary(labels, (p1, p2, p3), rho)
-                        if a != b:
-                            return SuiteResult("su3-coupling", False, checks,
-                                               f"path {labels}")
-                        checks += 1
+                        yield a == b or f"path {labels}"
         # isoscalar factorization: ratio independent of bottom rows, and
         # every nonzero coefficient splits as isoscalar * SU(2) 3-j.
         for key, val in table.entries.items():
@@ -498,23 +460,17 @@ def suite_su3_coupling() -> SuiteResult:
                     for s in range(3)]
             tj = coupling.su2_threej(*sub2)
             if tj.is_zero():
-                return SuiteResult("su3-coupling", False, checks,
-                                   f"zero SU(2) factor under nonzero value {key}")
+                yield f"zero SU(2) factor under nonzero value {key}"
             isf = coupling.su3_isoscalar(labels, rows, key[3])
-            if val != isf * tj:
-                return SuiteResult("su3-coupling", False, checks,
-                                   f"factorization {key}")
-            checks += 1
-    return SuiteResult("su3-coupling", True, checks,
-                       "3x3, 3x3bar, 8x8 (rho=2)")
+            yield val == isf * tj or f"factorization {key}"
 
 
 # -- 9. kernel identity --------------------------------------------------------
 
 
-def suite_kernel_identity() -> SuiteResult:
+@_suite("kernel-identity", "U(2), degree <= 3")
+def suite_kernel_identity():
     dmax = 3
-    checks = 0
     z = symbolic_matrix(2, slot=0)
     u = symbolic_matrix(2, slot=1)
     m = [[sum((z[r][k] * u[c][k] for k in range(2)), ExactPoly())
@@ -537,10 +493,7 @@ def suite_kernel_identity() -> SuiteResult:
             for b in basis:
                 up = b.poly.map_variables(lambda v: ("z", 1, v[2], v[3]))
                 rhs = rhs + (b.poly * up) * (const.numerator * lcm // b.norm_sq)
-            if lhs != rhs:
-                return SuiteResult("kernel-identity", False, checks,
-                                   f"label {label!r}")
-            checks += 1
+            yield lhs == rhs or f"label {label!r}"
     # aggregate binomial form: (sum_w D_w(z) D_w(u))^N over the labels with
     # leading entry N
     words = {
@@ -555,10 +508,7 @@ def suite_kernel_identity() -> SuiteResult:
         for h2 in range(n + 1):
             e1, e2 = n - h2, h2
             rhs = rhs + m1 ** e1 * m12 ** e2 * math.comb(n, h2)
-        if lhs != rhs:
-            return SuiteResult("kernel-identity", False, checks, f"power {n}")
-        checks += 1
-    return SuiteResult("kernel-identity", True, checks, "U(2), degree <= 3")
+        yield lhs == rhs or f"power {n}"
 
 
 SUITES = {

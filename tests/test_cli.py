@@ -281,3 +281,57 @@ def test_selftest_reports_injected_fault(capsys, monkeypatch):
     monkeypatch.setitem(selftest.GOLDEN_PHI_N3, "101", "y(2,1)*x(3,2)")
     code, out, _ = run_cli(capsys, "selftest", "--suite", "generating")
     assert code == 1 and "FAIL" in out and "101" in out
+
+
+# (suite, module, name, how the name is replaced, expected FAIL line)
+_INJECTED = [
+    ("dimensions", "gelfand", "weyl_dimension",
+     lambda f: lambda l: f(l) + (l.h == (2, 1, 0)),
+     "dimension-enumeration: 49 checks (mismatch at IrrepLabel[2, 1, 0])"),
+    ("generating", "selftest", "GOLDEN_PHI_N4",
+     lambda golden: {**golden, "1010": "y(4,2)"},
+     "generating-function-fixtures: 15 checks "
+     "(word 1010: x(3,2)*y(2,1)*y(4,2) != y(4,2))"),
+    ("orthonormality", "basisgen", "norm_sq_u3",
+     lambda f: lambda p: f(p) + (p.top == (2, 1, 0)),
+     "orthonormality: 623 checks (U(3) norm formula at "
+     "GelfandPattern([[2, 1, 0], [2, 1], [2]]))"),
+    ("closedforms", "oracles", "norm_sq_u3_hypergeometric",
+     lambda f: lambda p: f(p) + 1,
+     "closed-forms: 1 checks (2F1 norm GelfandPattern([[2, 1, 0], [2, 1], [2]]))"),
+    # the fault is first hit in the n = 5 sweep, after one of its checks passed
+    ("pn1", "basisgen", "p_n_1",
+     lambda f: lambda p: f(p) + (p.n == 5),
+     "pn1: 5411 checks (pn1 mismatch at "
+     "GelfandPattern([[0, 0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0], [0, 0], [0]]))"),
+    ("u4indices", "oracles", "u4_free_index_count",
+     lambda f: lambda p: f(p) - (p.top == (2, 1, 1, 0)),
+     "u4-free-indices: 65 checks "
+     "(GelfandPattern([[2, 1, 1, 0], [2, 1, 1], [2, 1], [2]]))"),
+    ("su2", "oracles", "racah_threej_oracle",
+     lambda f: lambda *jm: f(*jm) * (-1 if jm[0] == 1 else 1),
+     "su2-threej: 209 checks ((2, -2, 0, 0, 2, 2))"),
+    ("su3", "coupling", "su3_isoscalar",
+     lambda f: lambda labels, rows, rho: (
+         f(labels, rows, rho) * (-1 if labels[2] == (2, 1, 0) else 1)),
+     "su3-coupling: 244 checks (factorization (((1, 0, 0), (0, 0), (0,)), "
+     "((1, 1, 0), (1, 0), (0,)), ((2, 1, 0), (2, 1), (2,)), 1))"),
+    ("kernel", "basisgen", "const_A",
+     lambda f: lambda l: f(l) * (2 if l.h == (2, 1) else 1),
+     "kernel-identity: 3 checks (label IrrepLabel[2, 1])"),
+]
+
+
+@pytest.mark.parametrize("suite, module, name, replace, line", _INJECTED,
+                         ids=[case[0] for case in _INJECTED])
+def test_selftest_reports_a_fault_in_every_suite(capsys, monkeypatch, suite,
+                                                 module, name, replace, line):
+    # one wrong route or fixture per suite: the suite fails, names the failing
+    # input and counts every check that passed before it
+    import importlib
+
+    mod = importlib.import_module(f"gtboson.{module}")
+    monkeypatch.setattr(mod, name, replace(getattr(mod, name)))
+    code, out, _ = run_cli(capsys, "selftest", "--suite", suite)
+    assert code == 1
+    assert out == f"FAIL  {line}\nSUITE FAILURES PRESENT\n"
