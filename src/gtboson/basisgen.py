@@ -39,6 +39,7 @@ from .polyengine import (
     _Frozen,
     bargmann_inner,
     minor,
+    power_product,
     symbolic_matrix,
     zvar,
 )
@@ -198,20 +199,24 @@ def _prefixes(n: int) -> list[tuple[int, ...]]:
             for i in range(2 ** (n - 1))]
 
 
+@lru_cache(maxsize=8)
 def _upper_minors(n: int) -> dict[tuple[int, ...], ExactPoly]:
     """The minors of symbolic_matrix(n) on rows 1..k, for every non-empty
-    set of k columns, keyed by that column tuple."""
+    set of k columns, keyed by that column tuple.  Callers must not mutate
+    the dict."""
     z = symbolic_matrix(n)
     return {cols: minor(z, tuple(range(1, len(cols) + 1)), cols)
             for k in range(1, n + 1)
             for cols in itertools.combinations(range(1, n + 1), k)}
 
 
+@lru_cache(maxsize=8)
 def _kernel_groups(n: int):
     """Coefficient groups of the level-n parameters in the generating
     function.  Group X(k) collects words ending in a one with popcount k,
     Y(k) words ending in a zero with popcount k; each word contributes its
-    rows-1..k minor times its parameter monomial at levels below n."""
+    rows-1..k minor times its parameter monomial at levels below n.
+    Callers must not mutate the dicts."""
     minors = _upper_minors(n)
     groups_x: dict[int, ExactPoly] = {k: ExactPoly() for k in range(1, n + 1)}
     groups_y: dict[int, ExactPoly] = {k: ExactPoly() for k in range(1, n)}
@@ -237,17 +242,11 @@ def branching_kernel(label, branch) -> ExactPoly:
     _check_branching(label, branch)
     n = label.n
     gx, gy = _kernel_groups(n)
-    out = ExactPoly.const(1)
-    for k in range(1, n):
-        lk = label.h[k - 1] - branch.h[k - 1]
-        rk = branch.h[k - 1] - label.h[k]
-        if lk:
-            out = out * gx[k] ** lk
-        if rk:
-            out = out * gy[k] ** rk
-    if label.h[n - 1]:
-        out = out * gx[n] ** label.h[n - 1]
-    return out
+    h, b = label.h, branch.h
+    return power_product(
+        [(gx[k], h[k - 1] - b[k - 1]) for k in range(1, n)]
+        + [(gy[k], b[k - 1] - h[k]) for k in range(1, n)]
+        + [(gx[n], h[n - 1])])
 
 
 @lru_cache(maxsize=None)
@@ -296,7 +295,8 @@ def u2_basis_closed(pattern) -> BasisPolynomial:
     h12, h22 = p.row(2)
     h11 = p.row(1)[0]
     d = _upper_minors(2)
-    poly = d[(1,)] ** (h11 - h22) * d[(2,)] ** (h12 - h11) * d[1, 2] ** h22
+    poly = power_product([(d[(1,)], h11 - h22), (d[(2,)], h12 - h11),
+                          (d[1, 2], h22)])
     return _finish(p, poly)
 
 
@@ -312,16 +312,16 @@ def u3_basis_closed(pattern) -> BasisPolynomial:
     h11 = p.row(1)[0]
     d = _upper_minors(3)
     r31, l32 = h12 - h23, h23 - h22
-    fixed = d[(3,)] ** (h13 - h12) * d[1, 2] ** (h22 - h33) * d[1, 2, 3] ** h33
-    acc = ExactPoly()
+    fixed = [(d[(3,)], h13 - h12), (d[1, 2], h22 - h33), (d[1, 2, 3], h33)]
+    poly = ExactPoly()
     for i in range(0, min(r31, h11 - h22) + 1):
         j = h11 - h22 - i
         if not 0 <= j <= l32:
             continue
         c = math.comb(r31, i) * math.comb(l32, j)
-        acc = acc + c * (d[(1,)] ** i * d[(2,)] ** (r31 - i)
-                         * d[1, 3] ** j * d[2, 3] ** (l32 - j))
-    poly = acc * fixed
+        poly = poly + c * power_product(
+            [(d[(1,)], i), (d[(2,)], r31 - i), (d[1, 3], j),
+             (d[2, 3], l32 - j)] + fixed)
     return _finish(p, poly)
 
 
@@ -367,18 +367,17 @@ def u4_basis_closed(pattern) -> BasisPolynomial:
         raise DomainError("u4_basis_closed requires a U(4) pattern")
     lr = lr_exponents(p)
     dm = _upper_minors(4)
-    fixed = (dm[(4,)] ** lr.L[(4, 1)] * dm[1, 2, 3] ** lr.R[(4, 3)]
-             * dm[1, 2, 3, 4] ** lr.L[(4, 4)])
-    acc = ExactPoly()
-    for a, b, c, d, e, f, g, h, i, j, k, l in _u4_indices(lr):
+    fixed = [(dm[(4,)], lr.L[(4, 1)]), (dm[1, 2, 3], lr.R[(4, 3)]),
+             (dm[1, 2, 3, 4], lr.L[(4, 4)])]
+    groups = [dm[(1,)], dm[(2,)], dm[(3,)], dm[1, 4], dm[2, 4], dm[3, 4],
+              dm[1, 3], dm[2, 3], dm[1, 2], dm[1, 3, 4], dm[2, 3, 4],
+              dm[1, 2, 4]]
+    poly = ExactPoly()
+    for idx in _u4_indices(lr):
+        a, b, c, d, e, f, g, h, i, j, k, l = idx
         coeff = (_multinom(a, b, c) * _multinom(d, e, f)
                  * _multinom(g, h, i) * _multinom(j, k, l))
-        term = (dm[(1,)] ** a * dm[(2,)] ** b * dm[(3,)] ** c
-                * dm[1, 4] ** d * dm[2, 4] ** e * dm[3, 4] ** f
-                * dm[1, 3] ** g * dm[2, 3] ** h * dm[1, 2] ** i
-                * dm[1, 3, 4] ** j * dm[2, 3, 4] ** k * dm[1, 2, 4] ** l)
-        acc = acc + coeff * term
-    poly = acc * fixed
+        poly = poly + coeff * power_product(list(zip(groups, idx)) + fixed)
     if poly.is_zero():
         raise DomainError(f"empty five-index sum for {p!r}")
     return _finish(p, poly)

@@ -18,9 +18,12 @@ polynomials.  The pairing splits over disjoint slots,
 slot's basis is projected once onto its monomials (<b, u> is u's
 coefficient in b times the factorials of u's exponents), and each term of W
 is split into its three slot parts and contracted against those
-projections.  Basis and invariant polynomials live in the integer ring
-`ExactPoly`, so the pairings are accumulated as exact integers and divided
-by the basis norms only at the end, where the values become rational.  The
+projections.  W is expanded and contracted in packed exponents
+(`polyengine.packed_power_product`): a slot part is a bit mask of the
+packed term, and the projections are packed in the same layout.  Basis
+and invariant polynomials have integer coefficients, so the pairings are
+accumulated as exact integers and divided by the basis norms only at the
+end, where the values become rational.  The
 resulting rho-family is Gram orthonormalized, yielding tables that are
 exactly unitary block by block.
 
@@ -34,7 +37,6 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
@@ -56,10 +58,13 @@ from .gelfand import (
 from .polyengine import (
     ExactPoly,
     Monomial,
+    PackedLayout,
     SqrtRational,
     bargmann_inner,  # noqa: F401  unused here; bench/test_bench.py reads it
     minor,
+    packed_power_product,
     symbolic_matrix,
+    zvar,
 )
 
 __all__ = [
@@ -296,7 +301,8 @@ _W_WORDS = ("101100", "111000", "100011", "110010", "001011", "001110",
 def _w_invariants_z() -> tuple[ExactPoly, ...]:
     """The seven invariants as polynomials in the three slot matrices: the
     3x3 determinants of the selected rows of the stacked 6x3 matrix
-    (slot-1 rows 1, 2; slot-2 rows 1, 2; slot-3 rows 1, 2)."""
+    (slot-1 rows 1, 2; slot-2 rows 1, 2; slot-3 rows 1, 2), followed by the
+    three slot determinants det(z_1), det(z_2), det(z_3)."""
     mats = [symbolic_matrix(3, slot=s) for s in (1, 2, 3)]
     stack = [mats[0][0], mats[0][1], mats[1][0], mats[1][1],
              mats[2][0], mats[2][1]]
@@ -304,23 +310,24 @@ def _w_invariants_z() -> tuple[ExactPoly, ...]:
     for word in _W_WORDS:
         rows = tuple(i + 1 for i, b in enumerate(word) if b == "1")
         out.append(minor(stack, rows, (1, 2, 3)))
+    out.extend(minor(m, (1, 2, 3), (1, 2, 3)) for m in mats)
     return tuple(out)
 
 
-def _invariant_z(k: Sequence[int], labels) -> ExactPoly:
-    """The invariant polynomial prod_s det(z_s)^(h33_s) * prod_i W_i^(k_i);
-    the determinant powers carry the slot labels' trace content, which the
-    seven trace-free invariants cannot produce."""
-    inv = ExactPoly.const(1)
-    for w, e in zip(_w_invariants_z(), k):
-        if e:
-            inv = inv * w ** e
-    for s, label in enumerate(labels, start=1):
-        h33 = label.h[2]
-        if h33:
-            det = minor(symbolic_matrix(3, slot=s), (1, 2, 3), (1, 2, 3))
-            inv = inv * det ** h33
-    return inv
+# The 27 variables of the three slot matrices in canonical order, slot by
+# slot: the fields of every packed invariant.
+_SLOT_VARS = tuple(zvar(r, c, s) for s in (1, 2, 3) for r in (1, 2, 3)
+                   for c in (1, 2, 3))
+
+
+def _invariant_z(k: Sequence[int], labels
+                 ) -> tuple[PackedLayout, dict[int, int]]:
+    """The invariant polynomial prod_i W_i^(k_i) * prod_s det(z_s)^(h33_s)
+    as packed terms over the 27 slot variables (`_SLOT_VARS`), with their
+    layout; the determinant powers carry the slot labels' trace content,
+    which the seven trace-free invariants cannot produce."""
+    exps = tuple(k) + tuple(label.h[2] for label in labels)
+    return packed_power_product(zip(_w_invariants_z(), exps), _SLOT_VARS)
 
 
 def _slot_projection(label: IrrepLabel, slot: int, scale: int):
@@ -346,27 +353,30 @@ def _slot_projection(label: IrrepLabel, slot: int, scale: int):
     return proj, nsq
 
 
-# Bisection bounds: an invariant monomial has only z variables, sorted by
-# slot, so its slot-2 and slot-3 parts start where these would sort.
-_SLOT2, _SLOT3 = (("z", 2),), (("z", 3),)
-
-
-def _contract(inv: ExactPoly, projs) -> dict[int, int]:
+def _contract(inv: tuple[PackedLayout, dict[int, int]], projs
+              ) -> dict[int, int]:
     """<b1 b2 b3, inv> for every pattern triple at once.
 
     The pairing splits over disjoint slots, <b1 b2 b3, c m> =
     c * prod_s <b_s, m_s>, so each invariant term c*m adds
     c * v1 * v2 * v3 to every key whose slot projections hold m's parts.
-    Keys are the scaled pattern indices summed, i.e. (i3, i1, i2) in mixed
-    radix, so integer order is that tuple order."""
-    proj1, proj2, proj3 = projs
+    The projections are packed in the invariant's layout (a monomial that
+    no invariant term can have is dropped), and the slot-s part of a packed
+    term is the term masked to slot s's nine fields.  Keys are the scaled
+    pattern indices summed, i.e. (i3, i1, i2) in mixed radix, so integer
+    order is that tuple order."""
+    layout, terms = inv
+    pack = layout.pack
+    (proj1, mask1), (proj2, mask2), (proj3, mask3) = (
+        ({key: lst for key, lst in zip(map(pack, proj), proj.values())
+          if key is not None},
+         layout.mask(_SLOT_VARS[9 * s:9 * s + 9]))
+        for s, proj in enumerate(projs))
     acc: dict[int, int] = {}
-    for m, c in inv.terms.items():
-        a = bisect_left(m, _SLOT2)
-        b = bisect_left(m, _SLOT3, a)
-        l1 = proj1.get(m[:a])
-        l2 = proj2.get(m[a:b])
-        l3 = proj3.get(m[b:])
+    for m, c in terms.items():
+        l1 = proj1.get(m & mask1)
+        l2 = proj2.get(m & mask2)
+        l3 = proj3.get(m & mask3)
         if l1 is None or l2 is None or l3 is None:
             continue
         for k1, v1 in l1:

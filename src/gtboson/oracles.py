@@ -44,6 +44,7 @@ from .polyengine import (
     SqrtRational,
     _Frozen,
     mono_mul,
+    power_product,
     xvar,
     yvar,
 )
@@ -457,11 +458,7 @@ def su3_wigner_generating(labels, patterns, rho: int = 1) -> Fraction:
     if not family:
         return Fraction(0)
     k = _rho_k(family, rho)
-    ws = w_invariants()
-    inv = ExactPoly.const(1)
-    for w, e in zip(ws, k):
-        if e:
-            inv = inv * w ** e
+    inv = power_product(zip(w_invariants(), k))
     mono = mono_mul(mono_mul(pattern_phi(pats[0], 1), pattern_phi(pats[1], 2)),
                     pattern_phi(pats[2], 3))
     return inv.coefficient(mono)
@@ -516,11 +513,11 @@ def u3_basis_hypergeometric(pattern) -> BasisPolynomial:
             if rem:
                 raise ConsistencyError(f"2F1 term {k} of {p!r} is not an "
                                        "integer multiple of 1/D")
-        term = (d[(1,)] ** (h11 - h23 + k) * d[(2,)] ** (h12 - h11 - k)
-                * d[1, 3] ** (h23 - h22 - k) * d[2, 3] ** k)
-        acc = acc + coeff * term
-    poly = acc * (d[1, 2] ** h22 * d[(3,)] ** (h13 - h12))
-    return _finish(p, poly)
+        acc = acc + coeff * power_product(
+            [(d[(1,)], h11 - h23 + k), (d[(2,)], h12 - h11 - k),
+             (d[1, 3], h23 - h22 - k), (d[2, 3], k), (d[1, 2], h22),
+             (d[(3,)], h13 - h12)])
+    return _finish(p, acc)
 
 
 def u4_free_index_count(pattern) -> int:
@@ -602,12 +599,9 @@ def _mirror_expansion(top: tuple[int, ...], row: tuple[int, ...]) -> ExactPoly:
     group mirrors raised to the kernel's exponents.  The X(n) mirror is 1
     (the all-ones prefix), so the determinant power contributes nothing."""
     sx, sy = _mirror_groups(len(top))
-    out = ExactPoly.const(1)
-    for k in range(1, len(top)):
-        lk = top[k - 1] - row[k - 1]
-        rk = row[k - 1] - top[k]
-        out = out * sx[k] ** lk * sy[k] ** rk
-    return out
+    return power_product(
+        [(sx[k], top[k - 1] - row[k - 1]) for k in range(1, len(top))]
+        + [(sy[k], row[k - 1] - top[k]) for k in range(1, len(top))])
 
 
 def p_n_1_oracle(pattern) -> int:

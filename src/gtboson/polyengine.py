@@ -11,6 +11,9 @@ Fock-Bargmann pairing take `ExactPoly` entries only and stay in the ring.
 Rationals live outside it, and square roots only in `SqrtRational`, the
 carrier for norms and coupling coefficients at the API boundary.
 
+Products of powers, prod f**e, are expanded in packed exponents
+(`power_product`); binary `*` merges monomial tuples.
+
 Everything here is immutable value data; all functions are pure and safe to
 call from multiple threads.
 """
@@ -19,8 +22,9 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from bisect import bisect_left
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import compress
 
@@ -35,6 +39,7 @@ __all__ = [
     "mono_from_map",
     "mono_mul",
     "mono_text",
+    "power_product",
     "minor",
     "symbolic_matrix",
     "bargmann_inner",
@@ -211,12 +216,12 @@ class ExactPoly:
                 acc[m] = s
             else:
                 acc.pop(m, None)
-        return ExactPoly.__new_raw(acc)
+        return ExactPoly._raw(acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExactPoly":
-        return ExactPoly.__new_raw({m: -c for m, c in self.terms.items()})
+        return ExactPoly._raw({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "ExactPoly":
         return self + (-self._coerce(other))
@@ -241,22 +246,12 @@ class ExactPoly:
                     acc[m] = s
                 else:
                     acc.pop(m, None)
-        return ExactPoly.__new_raw(acc)
+        return ExactPoly._raw(acc)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "ExactPoly":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("polynomial power requires an integer k >= 0")
-        result = ExactPoly.const(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return power_product([(self, k)])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
@@ -279,7 +274,7 @@ class ExactPoly:
         return other if isinstance(other, ExactPoly) else ExactPoly.const(other)
 
     @classmethod
-    def __new_raw(cls, terms: dict[Monomial, int]) -> "ExactPoly":
+    def _raw(cls, terms: dict[Monomial, int]) -> "ExactPoly":
         p = cls.__new__(cls)
         p.terms = terms
         return p
@@ -332,7 +327,7 @@ class ExactPoly:
             k = bisect_left(m, _Z_FIRST)
             z = m[k:]
             parts.setdefault(m[:k], {})[tuple(map(shared.setdefault, z, z))] = c
-        return {m: ExactPoly.__new_raw(acc) for m, acc in parts.items()}
+        return {m: ExactPoly._raw(acc) for m, acc in parts.items()}
 
     def text(self) -> str:
         """Canonical text form: terms sorted highest-first."""
@@ -353,6 +348,148 @@ class ExactPoly:
 
     def __repr__(self):
         return f"ExactPoly({self.text()})"
+
+
+# ---------------------------------------------------------------------------
+# Products of powers in packed exponents (Johnson 1974; Monagan and Pearce
+# 2007): each monomial is one int holding every exponent in a fixed-width
+# field, so multiplying two monomials is one integer add.
+# ---------------------------------------------------------------------------
+
+# memoryview formats of the field widths that one cast can read back
+_FIELD_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+class PackedLayout:
+    """Field layout of packed monomials over a sorted tuple of variables.
+
+    Each variable has an exponent bound, and every field is wide enough for
+    the largest bound: a whole number of bytes, at least one.  Variable i
+    sits in the i-th field from the low end of the int on a little-endian
+    machine (from the high end on a big-endian one), so
+    `int.to_bytes(..., sys.byteorder)` lays the fields out in variable
+    order and one `memoryview` cast reads every exponent back.  Fields
+    wider than 64 bits are read back by shift and mask.
+    """
+
+    __slots__ = ("variables", "bounds", "width", "_index", "_shifts",
+                 "_nbytes", "_format")
+
+    def __init__(self, bounds: Mapping[VarId, int]):
+        self.variables = tuple(sorted(bounds))
+        self.bounds = tuple(bounds[v] for v in self.variables)
+        bits = max(self.bounds, default=0).bit_length()
+        self.width = 8 * max(1, (bits + 7) // 8)
+        n = len(self.variables)
+        self._index = {v: i for i, v in enumerate(self.variables)}
+        order = range(n) if sys.byteorder == "little" else range(n - 1, -1, -1)
+        self._shifts = tuple(self.width * j for j in order)
+        self._nbytes = n * self.width // 8
+        self._format = _FIELD_FORMATS.get(self.width)
+
+    def pack(self, m: Monomial) -> int | None:
+        """The packed form of m; None when m has a variable outside the
+        layout or an exponent above its variable's bound, which no product
+        sized by this layout has (and which could spill into a neighbouring
+        field)."""
+        key = 0
+        for v, e in m:
+            i = self._index.get(v)
+            if i is None or e > self.bounds[i]:
+                return None
+            key += e << self._shifts[i]
+        return key
+
+    def exponents(self, key: int) -> Sequence[int]:
+        """The exponent of every variable in a packed monomial, in variable
+        order."""
+        if self._format is None:
+            mask = (1 << self.width) - 1
+            return [key >> s & mask for s in self._shifts]
+        return memoryview(key.to_bytes(self._nbytes, sys.byteorder)).cast(
+            self._format)
+
+    def mask(self, variables: Iterable[VarId]) -> int:
+        """The bits of the fields of `variables`."""
+        ones = (1 << self.width) - 1
+        return sum(ones << self._shifts[self._index[v]] for v in variables)
+
+
+def _packed_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    if len(a) < len(b):
+        a, b = b, a
+    acc: dict[int, int] = {}
+    get = acc.get
+    for k2, c2 in b.items():
+        for k1, c1 in a.items():
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
+    return {k: c for k, c in acc.items() if c}
+
+
+def _packed_pow(a: dict[int, int], e: int) -> dict[int, int]:
+    """a**e for e >= 1, by repeated squaring; a single term is raised
+    directly."""
+    if len(a) == 1:
+        [(k, c)] = a.items()
+        return {k * e: c ** e}
+    result = None
+    while True:
+        if e & 1:
+            result = a if result is None else _packed_mul(result, a)
+        e >>= 1
+        if not e:
+            return result
+        a = _packed_mul(a, a)
+
+
+def packed_power_product(factors: Iterable[tuple[ExactPoly, int]],
+                         variables: Iterable[VarId] = ()
+                         ) -> tuple[PackedLayout, dict[int, int]]:
+    """prod f**e over the (f, e) pairs, as packed terms and their layout.
+
+    The layout holds `variables` and every variable of a factor, in
+    canonical order; each variable's bound is sum e * (its largest exponent
+    in f), the exact largest exponent any partial product can reach, so no
+    field ever overflows.  ValueError for an exponent that is not an int
+    >= 0.
+    """
+    factors = list(factors)
+    bounds = dict.fromkeys(variables, 0)
+    for f, e in factors:
+        if not isinstance(e, int) or e < 0:
+            raise ValueError("polynomial power requires an integer k >= 0")
+        if not e:
+            continue
+        top: dict[VarId, int] = {}
+        for m in f.terms:
+            for v, d in m:
+                if d > top.get(v, 0):
+                    top[v] = d
+        for v, d in top.items():
+            bounds[v] = bounds.get(v, 0) + e * d
+    layout = PackedLayout(bounds)
+    pack = layout.pack
+    powers = [_packed_pow({pack(m): c for m, c in f.terms.items()}, e)
+              for f, e in factors if e]
+    product = {0: 1}
+    for p in sorted(powers, key=len):
+        product = _packed_mul(product, p)
+    return layout, product
+
+
+def power_product(factors: Iterable[tuple[ExactPoly, int]]) -> ExactPoly:
+    """prod f**e over the (f, e) pairs (1 for none), expanded in packed
+    exponents (`packed_power_product`) and unpacked once at the end into
+    canonical monomials.  ValueError for an exponent that is not an int
+    >= 0."""
+    layout, packed = packed_power_product(factors)
+    variables, exponents = layout.variables, layout.exponents
+    terms = {}
+    for k, c in packed.items():
+        exps = exponents(k)
+        terms[tuple(compress(zip(variables, exps), exps))] = c
+    return ExactPoly._raw(terms)
 
 
 def symbolic_matrix(n: int, slot: int = 0) -> list[list[ExactPoly]]:

@@ -28,6 +28,7 @@ from .polyengine import (
     bargmann_inner,
     minor,
     mono_text,
+    power_product,
     symbolic_matrix,
     xvar,
     yvar,
@@ -174,7 +175,8 @@ def suite_orthonormality():
     for label in _labels_upto(2, 4):
         basis = [basisgen.basis_from_branching(p) for p in patterns_of(label)]
         for i, bi in enumerate(basis):
-            yield bargmann_inner(bi.poly, bi.poly) == bi.norm_sq or "stored norm"
+            yield (bargmann_inner(bi.poly, bi.poly) == bi.norm_sq
+                   or f"stored norm at {bi.pattern!r}")
             yield (bi.norm_sq == basisgen.norm_sq_u2(bi.pattern)
                    or f"U(2) norm formula at {bi.pattern!r}")
             for bj in basis[i + 1:]:
@@ -274,10 +276,7 @@ def _mirror_power(n: int, sums: tuple) -> ExactPoly:
     """prod_k G_k^{sums[k]} where G_k is the popcount-k parameter mirror;
     the mirror of the full kernel factors through these sums."""
     sx, sy = oracles._mirror_groups(n)
-    out = ExactPoly.const(1)
-    for k in range(1, n - 1):
-        out = out * sy[k] ** sums[k - 1]
-    return out
+    return power_product([(sy[k], sums[k - 1]) for k in range(1, n - 1)])
 
 
 def _pn1_sweep(n: int, bound: int):

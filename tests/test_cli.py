@@ -296,6 +296,10 @@ _INJECTED = [
      lambda f: lambda p: f(p) + (p.top == (2, 1, 0)),
      "orthonormality: 623 checks (U(3) norm formula at "
      "GelfandPattern([[2, 1, 0], [2, 1], [2]]))"),
+    # a wrong stored norm names its pattern too
+    ("orthonormality", "selftest", "bargmann_inner",
+     lambda f: lambda p, q: f(p, q) + (p is q),
+     "orthonormality: 0 checks (stored norm at GelfandPattern([[4, 4], [4]]))"),
     ("closedforms", "oracles", "norm_sq_u3_hypergeometric",
      lambda f: lambda p: f(p) + 1,
      "closed-forms: 1 checks (2F1 norm GelfandPattern([[2, 1, 0], [2, 1], [2]]))"),
@@ -322,8 +326,16 @@ _INJECTED = [
 ]
 
 
+def _case_ids(cases):
+    """The suite name, with the replaced name added after its first case."""
+    seen = set()
+    for suite, _, name, _, _ in cases:
+        yield f"{suite}-{name}" if suite in seen else suite
+        seen.add(suite)
+
+
 @pytest.mark.parametrize("suite, module, name, replace, line", _INJECTED,
-                         ids=[case[0] for case in _INJECTED])
+                         ids=list(_case_ids(_INJECTED)))
 def test_selftest_reports_a_fault_in_every_suite(capsys, monkeypatch, suite,
                                                  module, name, replace, line):
     # one wrong route or fixture per suite: the suite fails, names the failing

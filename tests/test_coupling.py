@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -40,7 +41,14 @@ from gtboson.gelfand import (
     weight,
     weyl_dimension,
 )
-from gtboson.polyengine import ExactPoly, SqrtRational, mono_from_map, xvar, yvar
+from gtboson.polyengine import (
+    ExactPoly,
+    SqrtRational,
+    mono_from_map,
+    xvar,
+    yvar,
+    zvar,
+)
 
 
 def spin_pattern(tj, tm):
@@ -470,12 +478,35 @@ _SMALL_COUPLING_TRIPLES = [
     if coupling._k_family(t)]
 
 
+_SU3_LABELS_UPTO_27 = ((1, 0, 0), (1, 1, 0), (2, 0, 0), (2, 2, 0), (2, 1, 0),
+                       (3, 0, 0), (3, 3, 0), (3, 1, 0), (3, 2, 0), (4, 2, 0))
+
+
 class TestPinnedTables:
     @pytest.mark.parametrize("labels", list(PINNED_CSV_SHA256))
     def test_csv_digest(self, labels):
         csv = coupling_table(labels).to_csv()
         assert hashlib.sha256(csv.encode()).hexdigest() == \
             PINNED_CSV_SHA256[labels]
+
+    def test_every_table_of_the_ten_small_labels(self):
+        # to_csv, rho_count and k3_values of each of the 183 coupled triples
+        # over the ten SU(3) labels of dimension <= 27, in product order;
+        # the digest was taken before invariants were expanded in packed
+        # exponents
+        digest = hashlib.sha256()
+        count = 0
+        for labels in itertools.product(_SU3_LABELS_UPTO_27, repeat=3):
+            if not coupling._k_family(labels):
+                continue
+            table = coupling_table(labels)
+            digest.update(f"{labels}|{table.rho_count}|{table.k3_values}\n"
+                          .encode())
+            digest.update(table.to_csv().encode())
+            count += 1
+        assert (count, digest.hexdigest()) == (
+            183,
+            "09e3ab459f8407ab7c2015e11cc8836e58b7d8023fc4676e2489267d4c25fbbe")
 
     def test_non_integer_basis_coefficient_is_refused(self, monkeypatch):
         # the integer ring itself refuses the rational scalar
@@ -498,8 +529,39 @@ class TestPinnedTables:
         family = coupling._k_family(labels)
         assert len(family) == 2
         for k in family.values():
-            inv = coupling._invariant_z(k, labels)
-            assert all(type(c) is int for c in inv.terms.values()), k
+            layout, terms = coupling._invariant_z(k, labels)
+            assert layout.variables == coupling._SLOT_VARS
+            assert all(type(m) is int and type(c) is int
+                       for m, c in terms.items()), k
+
+    def test_projection_above_the_field_bound_is_skipped(self):
+        # a slot monomial whose exponent outgrows its field would, packed
+        # naively, carry into the neighbouring field and match an invariant
+        # term it is not; the contraction must drop it instead
+        labels = (IrrepLabel((2, 1, 0)),) * 3
+        layout, terms = coupling._invariant_z(
+            coupling._k_family(labels)[0], labels)
+        lo, hi = zvar(1, 1, 1), zvar(1, 2, 1)
+        if sys.byteorder == "big":
+            lo, hi = hi, lo
+        key, c = next((key, c) for key, c in terms.items()
+                      if layout.exponents(key)[layout.variables.index(hi)])
+        mono = [(v, e) for v, e in zip(layout.variables,
+                                       layout.exponents(key)) if e]
+        parts = [tuple(t for t in mono if t[0][1] == s) for s in (1, 2, 3)]
+        exps = dict(parts[0])
+        exps[lo] = exps.get(lo, 0) + 2 ** layout.width
+        exps[hi] -= 1
+        spilled = mono_from_map(exps)
+        def naive(m):
+            return sum(e << layout._shifts[layout.variables.index(v)]
+                       for v, e in m)
+        assert naive(spilled) == naive(parts[0])
+        assert layout.pack(spilled) is None
+        proj = [{u: [(0, 1)]} for u in parts]
+        assert coupling._contract((layout, {key: c}), proj) == {0: c}
+        proj[0] = {spilled: [(0, 1)]}
+        assert coupling._contract((layout, {key: c}), proj) == {}
 
     def test_27x27_to_27_block_unitary(self):
         labels = ((4, 2, 0),) * 3

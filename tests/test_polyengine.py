@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,8 @@ from gtboson.polyengine import (
     minor,
     mono_from_map,
     mono_text,
+    packed_power_product,
+    power_product,
     squarefree_split,
     symbolic_matrix,
     xvar,
@@ -160,6 +163,77 @@ class TestBargmann:
         q2 = zp(2, 1) ** 3 + zp(2, 2)
         lhs = bargmann_inner(p1 * q1, p2 * q2)
         assert lhs == bargmann_inner(p1, p2) * bargmann_inner(q1, q2)
+
+
+_VARS = (zvar(1, 1), zvar(1, 2), xvar(2, 1), yvar(2, 1), zvar(2, 2, 3))
+
+small_polys = st.dictionaries(
+    st.lists(st.integers(0, 3), min_size=len(_VARS), max_size=len(_VARS))
+    .map(lambda exps: mono_from_map(dict(zip(_VARS, exps)))),
+    st.integers(-4, 4), max_size=3).map(ExactPoly)
+
+
+def _chain(factors):
+    """prod f**e by repeated binary multiplication."""
+    out = ExactPoly.const(1)
+    for f, e in factors:
+        for _ in range(e):
+            out = out * f
+    return out
+
+
+class TestPowerProduct:
+    @given(st.lists(st.tuples(small_polys, st.integers(0, 3)), max_size=3))
+    @settings(deadline=None)
+    def test_equals_the_binary_chain(self, factors):
+        # zero polynomials, constants, e = 0 and the empty list included
+        got = power_product(factors)
+        assert got == _chain(factors)
+        assert got.text() == _chain(factors).text()
+        if len(factors) == 1:
+            assert factors[0][0] ** factors[0][1] == got
+
+    def test_empty_zero_and_constant_factors(self):
+        assert power_product([]) == 1
+        assert power_product([(ExactPoly(), 0)]) == 1
+        assert power_product([(zp(1, 1), 2), (ExactPoly(), 1)]).is_zero()
+        assert power_product([(ExactPoly.const(-2), 3), (zp(1, 1), 0)]) == -8
+
+    @pytest.mark.parametrize("e", [-1, 1.0, "2"])
+    def test_bad_exponent(self, e):
+        with pytest.raises(ValueError, match="integer k >= 0"):
+            power_product([(zp(1, 1), e)])
+        with pytest.raises(ValueError, match="integer k >= 0"):
+            zp(1, 1) ** e
+
+    def test_fields_wider_than_a_byte(self):
+        layout, _ = packed_power_product([(zp(1, 1) + zp(1, 2), 300)])
+        assert layout.width == 16 and layout.bounds == (300, 300)
+        p = (zp(1, 1) + zp(1, 2)) ** 300
+        assert len(p.terms) == 301
+        for k in (0, 1, 150, 299, 300):
+            m = mono_from_map({zvar(1, 1): k, zvar(1, 2): 300 - k})
+            assert p.coefficient(m) == math.comb(300, k)
+        assert zp(1, 1) ** 300 == ExactPoly.monomial(((zvar(1, 1), 300),))
+
+    def test_exponent_beyond_64_bits_is_exact(self):
+        e = 2 ** 70
+        layout, _ = packed_power_product([(zp(1, 1), e)])
+        assert layout.width == 72
+        assert zp(1, 1) ** e == ExactPoly.monomial(((zvar(1, 1), e),))
+        assert (-zp(1, 1)) ** (e + 1) == ExactPoly.monomial(
+            ((zvar(1, 1), e + 1),), -1)
+        p = power_product([(zp(1, 1), e), (zp(1, 1) * zp(2, 2), 1)])
+        assert p.terms == {((zvar(1, 1), e + 1), (zvar(2, 2), 1)): 1}
+
+    def test_pack_refuses_what_no_product_holds(self):
+        layout, _ = packed_power_product([(zp(1, 1) * zp(1, 2), 3)])
+        assert layout.width == 8
+        assert layout.pack(((zvar(1, 1), 3),)) is not None
+        # 256 in the first field would carry into the second
+        assert layout.pack(((zvar(1, 1), 256),)) is None
+        assert layout.pack(((zvar(1, 1), 4),)) is None
+        assert layout.pack(((zvar(2, 2), 1),)) is None
 
 
 class TestExtraction:
