@@ -39,6 +39,7 @@ from .polyengine import (
     _Frozen,
     bargmann_inner,
     minor,
+    packed_power_product,
     power_product,
     symbolic_matrix,
     zvar,
@@ -231,22 +232,26 @@ def _kernel_groups(n: int):
     return groups_x, groups_y
 
 
-def branching_kernel(label, branch) -> ExactPoly:
-    """Branching kernel of U(n) over U(n-1) for a label pair: the product
-    of the X groups to the drop exponents L_k = h_{k,n} - h_{k,n-1} (with
-    L_n = h_{nn}) and the Y groups to the interleaving exponents
-    R_k = h_{k,n-1} - h_{k+1,n}, as a polynomial in the z entries and the
-    level <= n-1 parameters x(.,.), y(.,.)."""
-    label = as_label(label)
-    branch = as_label(branch)
+def _kernel_factors(label: IrrepLabel,
+                    branch: IrrepLabel) -> list[tuple[ExactPoly, int]]:
+    """The (group, exponent) factors of the branching kernel of a label
+    pair: the X groups to the drop exponents L_k = h_{k,n} - h_{k,n-1}
+    (with L_n = h_{nn}) and the Y groups to the interleaving exponents
+    R_k = h_{k,n-1} - h_{k+1,n}."""
     _check_branching(label, branch)
     n = label.n
     gx, gy = _kernel_groups(n)
     h, b = label.h, branch.h
-    return power_product(
-        [(gx[k], h[k - 1] - b[k - 1]) for k in range(1, n)]
-        + [(gy[k], b[k - 1] - h[k]) for k in range(1, n)]
-        + [(gx[n], h[n - 1])])
+    return ([(gx[k], h[k - 1] - b[k - 1]) for k in range(1, n)]
+            + [(gy[k], b[k - 1] - h[k]) for k in range(1, n)]
+            + [(gx[n], h[n - 1])])
+
+
+def branching_kernel(label, branch) -> ExactPoly:
+    """Branching kernel of U(n) over U(n-1) for a label pair
+    (`_kernel_factors`), as a polynomial in the z entries and the level
+    <= n-1 parameters x(.,.), y(.,.)."""
+    return power_product(_kernel_factors(as_label(label), as_label(branch)))
 
 
 @lru_cache(maxsize=None)
@@ -254,8 +259,20 @@ def _branch_family(top: tuple[int, ...],
                    row: tuple[int, ...]) -> dict[Monomial, ExactPoly]:
     """Every basis polynomial of the patterns with this top and next row,
     keyed by the lower pattern's parameter monomial: the branching kernel,
-    split once by parameter monomial.  Callers must not mutate the dict."""
-    return branching_kernel(IrrepLabel(top), IrrepLabel(row)).split_parameters()
+    expanded once in packed exponents and split by the mask of its z
+    fields, so each term's z part and each parameter monomial is unpacked
+    once.  The polynomials share one tuple per (variable, exponent) pair,
+    so the cache holds each pair once.  Callers must not mutate the dict."""
+    layout, packed = packed_power_product(
+        _kernel_factors(IrrepLabel(top), IrrepLabel(row)))
+    zmask = layout.mask(v for v in layout.variables if v[0] == "z")
+    unpack = layout.unpack
+    shared: dict[tuple, tuple] = {}
+    parts: dict[int, dict[Monomial, int]] = {}
+    for k, c in packed.items():
+        z = unpack(k & zmask)
+        parts.setdefault(k & ~zmask, {})[tuple(map(shared.setdefault, z, z))] = c
+    return {unpack(phi): ExactPoly._raw(terms) for phi, terms in parts.items()}
 
 
 def _branch_poly(p: GelfandPattern) -> ExactPoly:

@@ -10,8 +10,9 @@ config values outside their choices, an unwritable output file), 3 when an
 internal consistency check fails (two routes disagree: a library fault).
 
 Start-up loads the library modules and nothing a command does not run:
-`threej` imports the Racah oracle, `selftest` its suites and `--format
-json` the json module, each when that command runs.
+`threej` imports the Racah sum (`gtboson.racah`, not the other oracles),
+`selftest` its suites and `--format json` the json module, each when that
+command runs.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ _SUITES = ("dimensions", "generating", "orthonormality", "closedforms",
 _MAX_PATTERNS = 100_000
 # `threej` refuses a larger total spin j1 + j2 + j3 before any arithmetic.
 _MAX_TOTAL_SPIN = 200
+# `su3cg` and `isoscalar` refuse labels whose table has more pattern triples
+# d1*d2*d3 than this (64-dim labels are allowed) before building it.
+_MAX_TABLE_SIZE = 64 ** 3
 
 
 class _UsageError(Exception):
@@ -199,7 +203,7 @@ def _cmd_threej(args) -> str:
         raise DomainError(f"total spin J = {sum(js)} is more than the limit "
                           f"of {_MAX_TOTAL_SPIN}")
     value = su2_threej(*pats)
-    from .oracles import racah_threej_oracle
+    from .racah import racah_threej_oracle
 
     oracle = racah_threej_oracle(*(x for jm in zip(js, ms) for x in jm))
     if value != oracle:
@@ -216,6 +220,12 @@ def _parse_labels_triple(text: str) -> tuple[IrrepLabel, ...]:
     labels = tuple(IrrepLabel(_numbers(part)) for part in text.split(";"))
     if len(labels) != 3 or any(l.n != 3 for l in labels):
         raise DomainError("expected three U(3) labels 'a,b,c;d,e,f;g,h,i'")
+    dims = [weyl_dimension(l) for l in labels]
+    size = dims[0] * dims[1] * dims[2]
+    if size > _MAX_TABLE_SIZE:
+        raise DomainError(f"labels {text} span {'*'.join(map(str, dims))} = "
+                          f"{size} pattern triples, more than the limit of "
+                          f"{_MAX_TABLE_SIZE}")
     return labels
 
 

@@ -87,9 +87,11 @@ def as_label(label) -> IrrepLabel:
 class GelfandPattern(_Frozen):
     """Triangular array, rows ordered top (length n) to bottom (length 1).
 
-    Construction checks the triangle shape (StructureError) and then every
-    betweenness inequality h_{i,k} >= h_{i,k-1} >= h_{i+1,k} (DomainError
-    naming the first one broken), so every instance is a valid pattern.
+    Construction checks the triangle shape (StructureError), then that
+    h_{n,n} >= 0 and every betweenness inequality
+    h_{i,k} >= h_{i,k-1} >= h_{i+1,k} (DomainError naming the entry or the
+    first inequality broken), so every instance is a valid pattern and
+    every entry is >= 0.
     """
 
     __slots__ = ("rows",)
@@ -100,6 +102,10 @@ class GelfandPattern(_Frozen):
             raise StructureError("pattern must have at least one row")
         if list(map(len, rows)) != list(range(len(rows[0]), 0, -1)):
             raise StructureError("pattern rows must have lengths n, n-1, ..., 1")
+        n = len(rows)
+        if rows[0][-1] < 0:
+            raise DomainError(f"pattern {_rows_text(rows)} has a negative "
+                              f"entry: h[{n},{n}]={rows[0][-1]}")
         broken = _broken_betweenness(rows)
         if broken is not None:
             raise DomainError(

@@ -1,12 +1,12 @@
 """Independent routes to the library's quantities, for cross-checking.
 
 The library has one production route per quantity.  Each route here
-computes the same values another way: 3-j symbols by Racah's factorial sum,
-raw SU(3) Wigner coefficients from the invariants' parameter-space images
-(expanded directly, or by the three-summation formula over the
-fifteen-index linear system), the hypergeometric U(3) basis, and the
-evaluation factors by mirror expansion.  Only the tests, the selftest
-suites and the CLI's run-time 3-j check import this module.
+computes the same values another way: 3-j symbols by Racah's factorial sum
+(`gtboson.racah`, re-exported here), raw SU(3) Wigner coefficients from the
+invariants' parameter-space images (expanded directly, or by the
+three-summation formula over the fifteen-index linear system), the
+hypergeometric U(3) basis, and the evaluation factors by mirror expansion.
+Only the tests and the selftest suites import this module.
 """
 
 from __future__ import annotations
@@ -41,13 +41,12 @@ from .gelfand import (
 from .polyengine import (
     ExactPoly,
     Monomial,
-    SqrtRational,
     _Frozen,
-    mono_mul,
     power_product,
     xvar,
     yvar,
 )
+from .racah import racah_threej_oracle
 
 __all__ = [
     "racah_threej_oracle",
@@ -69,59 +68,6 @@ __all__ = [
 ]
 
 _fact = math.factorial
-
-
-# ---------------------------------------------------------------------------
-# SU(2): Racah's factorial sum.
-# ---------------------------------------------------------------------------
-
-
-def _two(x) -> int:
-    """Twice a spin value, which must be an exact half-integer (a float is
-    taken at its exact binary value, never rounded)."""
-    t = Fraction(x) * 2
-    if t.denominator != 1:
-        raise DomainError(f"{x} is not a half-integer")
-    return int(t)
-
-
-def racah_threej_oracle(j1, m1, j2, m2, j3, m3) -> SqrtRational:
-    """Independent closed-form 3-j value (single factorial sum), exact."""
-    tj = [_two(j ) for j in (j1, j2, j3)]
-    tm = [_two(m) for m in (m1, m2, m3)]
-    if any((a + b) % 2 for a, b in zip(tj, tm)) or any(abs(b) > a for a, b in zip(tj, tm)):
-        return SqrtRational.zero()
-    if sum(tm) != 0:
-        return SqrtRational.zero()
-    tJ = sum(tj)
-    if tJ % 2:
-        return SqrtRational.zero()
-    c1 = (tj[0] + tj[1] - tj[2]) // 2
-    c2 = (tj[0] - tj[1] + tj[2]) // 2
-    c3 = (-tj[0] + tj[1] + tj[2]) // 2
-    if c1 < 0 or c2 < 0 or c3 < 0:
-        return SqrtRational.zero()
-    a1 = (tj[0] - tm[0]) // 2
-    a2 = (tj[1] + tm[1]) // 2
-    b1 = (tj[2] - tj[1] + tm[0]) // 2
-    b2 = (tj[2] - tj[0] - tm[1]) // 2
-    kmin = max(0, -b1, -b2)
-    kmax = min(c1, a1, a2)
-    total = Fraction(0)
-    for k in range(kmin, kmax + 1):
-        term = Fraction((-1) ** k,
-                        _fact(k) * _fact(c1 - k) * _fact(a1 - k) * _fact(a2 - k)
-                        * _fact(b1 + k) * _fact(b2 + k))
-        total += term
-    if not total:
-        return SqrtRational.zero()
-    phase = (tj[0] - tj[1] - tm[2]) // 2
-    if phase % 2:
-        total = -total
-    rad = Fraction(_fact(c1) * _fact(c2) * _fact(c3), _fact(tJ // 2 + 1))
-    for a, b in zip(tj, tm):
-        rad *= _fact((a + b) // 2) * _fact((a - b) // 2)
-    return SqrtRational(total, rad)
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +405,9 @@ def su3_wigner_generating(labels, patterns, rho: int = 1) -> Fraction:
         return Fraction(0)
     k = _rho_k(family, rho)
     inv = power_product(zip(w_invariants(), k))
-    mono = mono_mul(mono_mul(pattern_phi(pats[0], 1), pattern_phi(pats[1], 2)),
-                    pattern_phi(pats[2], 3))
+    # the three slots' monomials share no variable
+    mono = tuple(sorted(itertools.chain.from_iterable(
+        pattern_phi(p, slot) for slot, p in enumerate(pats, 1))))
     return inv.coefficient(mono)
 
 

@@ -11,8 +11,10 @@ Fock-Bargmann pairing take `ExactPoly` entries only and stay in the ring.
 Rationals live outside it, and square roots only in `SqrtRational`, the
 carrier for norms and coupling coefficients at the API boundary.
 
-Products of powers, prod f**e, are expanded in packed exponents
-(`power_product`); binary `*` merges monomial tuples.
+Every product of polynomials, binary `*`, a power, a product of powers
+prod f**e or a term of a minor, is expanded in packed exponents by one
+kernel (`power_product`), and `PackedLayout.unpack` is the one way a packed
+monomial becomes a stored tuple.
 
 Everything here is immutable value data; all functions are pure and safe to
 call from multiple threads.
@@ -23,10 +25,9 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from bisect import bisect_left
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
-from itertools import compress
+from itertools import combinations, compress, permutations
 
 __all__ = [
     "VarId",
@@ -37,7 +38,6 @@ __all__ = [
     "xvar",
     "yvar",
     "mono_from_map",
-    "mono_mul",
     "mono_text",
     "power_product",
     "minor",
@@ -118,17 +118,6 @@ def mono_from_map(exps: Mapping[VarId, int]) -> Monomial:
     return items
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    exps: dict[VarId, int] = dict(a)
-    for v, e in b:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items()))
-
-
 def var_text(v: VarId) -> str:
     kind, slot, a, b = v
     tag = "" if slot == 0 else str(slot)
@@ -165,10 +154,6 @@ def _mono_order(m: Monomial) -> tuple:
     order, the first variable with differing exponents decides, an earlier
     variable or a larger exponent ranking higher."""
     return tuple((v, -e) for v, e in m) + _END
-
-
-# Sorts after each (x or y variable, exponent) pair, before each z pair.
-_Z_FIRST = (("z",),)
 
 
 class ExactPoly:
@@ -232,21 +217,7 @@ class ExactPoly:
     def __mul__(self, other) -> "ExactPoly":
         if isinstance(other, int):
             return ExactPoly({m: k * other for m, k in self.terms.items()})
-        other = self._coerce(other)
-        acc: dict[Monomial, int] = {}
-        if len(self.terms) > len(other.terms):
-            big, small = self.terms, other.terms
-        else:
-            big, small = other.terms, self.terms
-        for m2, c2 in small.items():
-            for m1, c1 in big.items():
-                m = mono_mul(m1, m2)
-                s = acc.get(m, 0) + c1 * c2
-                if s:
-                    acc[m] = s
-                else:
-                    acc.pop(m, None)
-        return ExactPoly._raw(acc)
+        return power_product([(self, 1), (self._coerce(other), 1)])
 
     __rmul__ = __mul__
 
@@ -309,25 +280,6 @@ class ExactPoly:
             nm = mono_from_map(exps)
             acc[nm] = acc.get(nm, 0) + c
         return ExactPoly(acc)
-
-    def split_parameters(self) -> dict[Monomial, "ExactPoly"]:
-        """Coefficient polynomials in the z variables, keyed by parameter
-        monomial: self == sum of key * value over the returned items.
-
-        Kinds "x" and "y" sort before "z", so the parameter part of each
-        monomial is a prefix, found by bisection.  A z-only polynomial maps
-        to {(): self}; the zero polynomial maps to {}.
-
-        The returned polynomials share one tuple per (variable, exponent)
-        pair, so a cached split holds each distinct pair once.
-        """
-        parts: dict[Monomial, dict[Monomial, int]] = {}
-        shared: dict[tuple[VarId, int], tuple[VarId, int]] = {}
-        for m, c in self.terms.items():
-            k = bisect_left(m, _Z_FIRST)
-            z = m[k:]
-            parts.setdefault(m[:k], {})[tuple(map(shared.setdefault, z, z))] = c
-        return {m: ExactPoly._raw(acc) for m, acc in parts.items()}
 
     def text(self) -> str:
         """Canonical text form: terms sorted highest-first."""
@@ -409,6 +361,11 @@ class PackedLayout:
         return memoryview(key.to_bytes(self._nbytes, sys.byteorder)).cast(
             self._format)
 
+    def unpack(self, key: int) -> Monomial:
+        """The canonical monomial of a packed key."""
+        exps = self.exponents(key)
+        return tuple(compress(zip(self.variables, exps), exps))
+
     def mask(self, variables: Iterable[VarId]) -> int:
         """The bits of the fields of `variables`."""
         ones = (1 << self.width) - 1
@@ -470,10 +427,10 @@ def packed_power_product(factors: Iterable[tuple[ExactPoly, int]],
             bounds[v] = bounds.get(v, 0) + e * d
     layout = PackedLayout(bounds)
     pack = layout.pack
-    powers = [_packed_pow({pack(m): c for m, c in f.terms.items()}, e)
-              for f, e in factors if e]
-    product = {0: 1}
-    for p in sorted(powers, key=len):
+    powers = sorted((_packed_pow({pack(m): c for m, c in f.terms.items()}, e)
+                     for f, e in factors if e), key=len)
+    product = powers.pop(0) if powers else {0: 1}
+    for p in powers:
         product = _packed_mul(product, p)
     return layout, product
 
@@ -484,12 +441,8 @@ def power_product(factors: Iterable[tuple[ExactPoly, int]]) -> ExactPoly:
     canonical monomials.  ValueError for an exponent that is not an int
     >= 0."""
     layout, packed = packed_power_product(factors)
-    variables, exponents = layout.variables, layout.exponents
-    terms = {}
-    for k, c in packed.items():
-        exps = exponents(k)
-        terms[tuple(compress(zip(variables, exps), exps))] = c
-    return ExactPoly._raw(terms)
+    unpack = layout.unpack
+    return ExactPoly._raw({unpack(k): c for k, c in packed.items()})
 
 
 def symbolic_matrix(n: int, slot: int = 0) -> list[list[ExactPoly]]:
@@ -501,7 +454,8 @@ def symbolic_matrix(n: int, slot: int = 0) -> list[list[ExactPoly]]:
 def minor(mat: Sequence[Sequence[ExactPoly]], rows: Sequence[int],
           cols: Sequence[int]) -> ExactPoly:
     """Determinant of the `ExactPoly` submatrix on `rows` x `cols`
-    (1-indexed), by Laplace expansion along the first selected row.
+    (1-indexed), by the Leibniz formula: one `power_product` per
+    permutation, skipping every term with a zero entry.
 
     Row/column index lists must be non-empty, strictly increasing and of
     equal length.
@@ -515,22 +469,14 @@ def minor(mat: Sequence[Sequence[ExactPoly]], rows: Sequence[int],
             raise ValueError("minor indices must be strictly increasing")
         if idx[0] < 1 or idx[-1] > len(mat):
             raise ValueError("minor index out of range")
-    return _det_expand(mat, tuple(rows), tuple(cols))
-
-
-def _det_expand(mat, rows: tuple[int, ...], cols: tuple[int, ...]):
-    row = mat[rows[0] - 1]
-    if len(rows) == 1:
-        return row[cols[0] - 1]
-    acc = None
-    for j, c in enumerate(cols):
-        term = row[c - 1]
-        if term:  # a zero entry is its own (zero) cofactor term
-            term = term * _det_expand(mat, rows[1:], cols[:j] + cols[j + 1:])
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
+    det = ExactPoly()
+    for perm in permutations(cols):
+        entries = [mat[r - 1][c - 1] for r, c in zip(rows, perm)]
+        if all(entries):
+            term = power_product([(f, 1) for f in entries])
+            odd = sum(a > b for a, b in combinations(perm, 2)) % 2
+            det = det - term if odd else det + term
+    return det
 
 
 def bargmann_inner(p: ExactPoly, q: ExactPoly) -> int:

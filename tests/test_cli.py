@@ -75,7 +75,7 @@ def test_threej_refuses_a_total_spin_over_the_limit(capsys, monkeypatch, j, m):
         raise AssertionError("3-j work started")
 
     monkeypatch.setattr(cli, "su2_threej", started)
-    monkeypatch.setattr("gtboson.oracles.racah_threej_oracle", started)
+    monkeypatch.setattr("gtboson.racah.racah_threej_oracle", started)
     code, out, err = run_cli(capsys, "threej", "--j", j, "--m", m)
     assert code == 1 and out == ""
     assert err.startswith("error: total spin J = ")
@@ -114,6 +114,34 @@ def test_pn1(capsys):
     assert code == 0 and out == "2\n"
 
 
+@pytest.mark.parametrize("argv", [("su3cg",), ("su3cg", "--format", "json"),
+                                  ("isoscalar", "--rows", "7,3;7,3;7,3")])
+def test_su3_table_over_the_size_limit_is_refused(capsys, monkeypatch, argv):
+    # 90*90*90 pattern triples; refused before the table is built
+    def started(*args):
+        raise AssertionError("table build started")
+
+    monkeypatch.setattr(cli, "coupling_table", started)
+    monkeypatch.setattr(cli, "su3_isoscalar", started)
+    code, out, err = run_cli(capsys, argv[0], "--labels", "7,3,0;7,3,0;7,3,0",
+                             *argv[1:])
+    assert code == 1 and out == ""
+    assert err == ("error: labels 7,3,0;7,3,0;7,3,0 span 90*90*90 = 729000 "
+                   "pattern triples, more than the limit of 262144\n")
+
+
+def test_su3_table_at_the_size_limit_is_built(capsys, monkeypatch):
+    # 64*64*64 pattern triples is the limit itself
+    from gtboson.polyengine import SqrtRational
+
+    built = []
+    monkeypatch.setattr(cli, "su3_isoscalar",
+                        lambda *args: built.append(args) or SqrtRational(1))
+    code, out, _ = run_cli(capsys, "isoscalar", "--labels", "6,3,0;6,3,0;6,3,0",
+                           "--rows", "6,3;6,3;6,3")
+    assert code == 0 and out == "1/1*sqrt(1/1)\n" and len(built) == 1
+
+
 def test_su3cg_json_round_trip(capsys):
     code, out, _ = run_cli(capsys, "su3cg", "--labels", "1,0,0;1,1,0;1,1,1",
                            "--format", "json")
@@ -139,7 +167,7 @@ def test_internal_disagreement_exits_3(capsys, monkeypatch):
     from gtboson.polyengine import SqrtRational
 
     # `threej` imports the oracle when it runs, so patch it where it lives
-    monkeypatch.setattr("gtboson.oracles.racah_threej_oracle",
+    monkeypatch.setattr("gtboson.racah.racah_threej_oracle",
                         lambda *a: SqrtRational(2))
     code, out, err = run_cli(capsys, "threej", "--j", "0.5,0.5,0",
                              "--m", "0.5,-0.5,0")
@@ -151,6 +179,14 @@ def test_internal_disagreement_exits_3(capsys, monkeypatch):
 def test_invalid_label_names_inequality(capsys):
     code, _, err = run_cli(capsys, "dim", "--group", "u3", "--label", "1,2,0")
     assert code == 1 and "non-increasing" in err
+
+
+@pytest.mark.parametrize("argv", [("pn1",), ("basis",),
+                                  ("basis", "--format", "json")])
+def test_negative_pattern_entry_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--pattern", "1,0,-1;0,0;0")
+    assert code == 1 and out == ""
+    assert err == "error: pattern 1,0,-1;0,0;0 has a negative entry: h[3,3]=-1\n"
 
 
 def test_invalid_pattern_rejected(capsys):

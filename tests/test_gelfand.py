@@ -42,6 +42,17 @@ class TestValidation:
         with pytest.raises(DomainError, match="non-negative"):
             IrrepLabel([1, 0, -1])
 
+    @pytest.mark.parametrize("rows", [[[1, 0, -1], [0, 0], [0]],
+                                      [[-1]], [[0, -2], [-1]]])
+    def test_pattern_rejects_a_negative_entry(self, rows):
+        # betweenness alone holds for each; h[n,n] < 0 makes a label that
+        # IrrepLabel refuses, so the pattern is refused when built
+        n = len(rows)
+        with pytest.raises(DomainError, match=rf"negative entry: "
+                                              rf"h\[{n},{n}\]={rows[0][-1]}$"):
+            GelfandPattern(rows)
+        assert not validate_pattern(rows)
+
     @pytest.mark.parametrize("entry", [2.5, 2.0, Fraction(2), "2"])
     def test_non_integer_entries_rejected(self, entry):
         # int() used to truncate these; only integers are entries

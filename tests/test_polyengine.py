@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gtboson.basisgen import _branch_family, branching_kernel
 from gtboson.polyengine import (
     ExactPoly,
     SqrtRational,
@@ -25,6 +26,54 @@ from gtboson.polyengine import (
 
 def zp(r, c):
     return ExactPoly.variable(zvar(r, c))
+
+
+_VARS = (zvar(1, 1), zvar(1, 2), xvar(2, 1), yvar(2, 1), zvar(2, 2, 3))
+
+small_polys = st.dictionaries(
+    st.lists(st.integers(0, 3), min_size=len(_VARS), max_size=len(_VARS))
+    .map(lambda exps: mono_from_map(dict(zip(_VARS, exps)))),
+    st.integers(-4, 4), max_size=3).map(ExactPoly)
+
+# matrix entries: a quarter of them zero, the rest nonzero
+_entries = st.tuples(st.integers(0, 3), small_polys.filter(bool)).map(
+    lambda t: t[1] if t[0] else ExactPoly())
+
+
+def _plain_mul(p, q):
+    """p * q by merging (variable, exponent) tuples term by term, a route
+    that shares nothing with the packed kernel."""
+    acc = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            exps = dict(m1)
+            for v, e in m2:
+                exps[v] = exps.get(v, 0) + e
+            m = mono_from_map(exps)
+            acc[m] = acc.get(m, 0) + c1 * c2
+    return ExactPoly(acc)
+
+
+def _chain(factors):
+    """prod f**e by repeated plain products."""
+    out = ExactPoly.const(1)
+    for f, e in factors:
+        for _ in range(e):
+            out = _plain_mul(out, f)
+    return out
+
+
+def _cofactor_det(mat):
+    """Determinant by cofactor expansion along the first row, with plain
+    products."""
+    if len(mat) == 1:
+        return mat[0][0]
+    det = ExactPoly()
+    for j, entry in enumerate(mat[0]):
+        sub = [row[:j] + row[j + 1:] for row in mat[1:]]
+        term = _plain_mul(entry, _cofactor_det(sub))
+        det = det - term if j % 2 else det + term
+    return det
 
 
 class TestRingOps:
@@ -105,6 +154,14 @@ class TestMinor:
         mat = [[z[r][0], z[r][0], z[r][2]] for r in range(3)]
         assert minor(mat, (1, 2), (1, 2)).is_zero()
 
+    @given(st.integers(1, 3).flatmap(lambda k: st.lists(
+        st.lists(_entries, min_size=k, max_size=k), min_size=k, max_size=k)))
+    @settings(deadline=None)
+    def test_equals_the_cofactor_expansion(self, mat):
+        # zero entries included: the Leibniz sum skips their terms
+        idx = tuple(range(1, len(mat) + 1))
+        assert minor(mat, idx, idx) == _cofactor_det(mat)
+
     def test_alternating_and_multilinear_random(self):
         # substitute random integers and compare against a plain
         # permanent-free determinant evaluation
@@ -165,23 +222,6 @@ class TestBargmann:
         assert lhs == bargmann_inner(p1, p2) * bargmann_inner(q1, q2)
 
 
-_VARS = (zvar(1, 1), zvar(1, 2), xvar(2, 1), yvar(2, 1), zvar(2, 2, 3))
-
-small_polys = st.dictionaries(
-    st.lists(st.integers(0, 3), min_size=len(_VARS), max_size=len(_VARS))
-    .map(lambda exps: mono_from_map(dict(zip(_VARS, exps)))),
-    st.integers(-4, 4), max_size=3).map(ExactPoly)
-
-
-def _chain(factors):
-    """prod f**e by repeated binary multiplication."""
-    out = ExactPoly.const(1)
-    for f, e in factors:
-        for _ in range(e):
-            out = out * f
-    return out
-
-
 class TestPowerProduct:
     @given(st.lists(st.tuples(small_polys, st.integers(0, 3)), max_size=3))
     @settings(deadline=None)
@@ -192,6 +232,9 @@ class TestPowerProduct:
         assert got.text() == _chain(factors).text()
         if len(factors) == 1:
             assert factors[0][0] ** factors[0][1] == got
+        if factors:
+            f, g = factors[0][0], factors[-1][0]
+            assert f * g == _plain_mul(f, g)
 
     def test_empty_zero_and_constant_factors(self):
         assert power_product([]) == 1
@@ -237,29 +280,37 @@ class TestPowerProduct:
 
 
 class TestExtraction:
+    """The branching kernel split by the lower pattern's parameter
+    monomial (`basisgen._branch_family`, on packed keys)."""
+
+    FAMILIES = [((2, 1, 0), (1, 0)), ((3, 1, 0), (2, 1)), ((1, 1, 0), (1, 0)),
+                ((2, 1, 1, 0), (2, 1, 0)), ((2, 2, 1, 0), (2, 1, 1))]
+
     def test_single_variable(self):
+        # each lower U(2) pattern of [1,1,0] / [1,0] has a one-variable phi
+        z = symbolic_matrix(3)
         x, y = xvar(2, 1), yvar(2, 1)
-        p = (ExactPoly.variable(x) * zp(1, 1)
-             + ExactPoly.variable(y) * zp(1, 2))
-        assert p.split_parameters() == {mono_from_map({x: 1}): zp(1, 1),
-                                        mono_from_map({y: 1}): zp(1, 2)}
+        assert _branch_family((1, 1, 0), (1, 0)) == {
+            mono_from_map({x: 1}): minor(z, (1, 2), (2, 3)),
+            mono_from_map({y: 1}): minor(z, (1, 2), (1, 3))}
 
     def test_empty_target_is_identity_on_free_polys(self):
-        p = zp(1, 1) ** 2 + 3 * zp(2, 2)
-        assert p.split_parameters() == {(): p}
-        assert ExactPoly().split_parameters() == {}
+        # a U(1) pattern has no parameter monomial, so a kernel free of
+        # parameters is the one part, under the empty key
+        assert _branch_family((2, 0), (1,)) == {
+            (): branching_kernel([2, 0], [1])}
+        assert _branch_family((0, 0, 0), (0, 0)) == {(): ExactPoly.const(1)}
 
     def test_split_recombines(self):
-        x, y = ExactPoly.variable(xvar(3, 2)), ExactPoly.variable(yvar(2, 1))
-        p = (x * zp(1, 1) + y) ** 3 * (zp(2, 1) + x * y - 2)
-        parts = p.split_parameters()
-        assert all(not any(v[0] == "z" for v, _ in m) for m in parts)
-        assert all(v[0] == "z" for q in parts.values()
-                   for m in q.terms for v, _ in m)
-        total = ExactPoly()
-        for m, q in parts.items():
-            total = total + ExactPoly.monomial(m) * q
-        assert total == p
+        for label, row in self.FAMILIES:
+            family = _branch_family(label, row)
+            assert all(v[0] in "xy" for phi in family for v, _ in phi)
+            assert all(v[0] == "z" for part in family.values()
+                       for m in part.terms for v, _ in m)
+            total = ExactPoly()
+            for phi, part in family.items():
+                total = total + ExactPoly.monomial(phi) * part
+            assert total == branching_kernel(label, row), (label, row)
 
     def test_text_form(self):
         p = zp(1, 1) * zp(2, 2) - zp(1, 2) * zp(2, 1)

@@ -1,8 +1,9 @@
 """Rules on the package source: no `assert` statements (they vanish under
-`python -O`), the cross-check routes in `gtboson.oracles` stay out of the
-library modules and their exports, the polynomial ring stays an integer
-ring with no conversion helpers around it, and the public surface is
-pinned."""
+`python -O`), the cross-check routes in `gtboson.oracles` and
+`gtboson.racah` stay out of the library modules and their exports, the
+polynomial ring stays an integer ring with no conversion helpers around
+it, a packed monomial is read back only inside `PackedLayout`, and the
+public surface is pinned."""
 
 import ast
 import pathlib
@@ -11,10 +12,11 @@ import types
 import pytest
 
 import gtboson
-from gtboson import basisgen, coupling, gelfand, oracles, polyengine
+from gtboson import basisgen, coupling, gelfand, oracles, polyengine, racah
 
 SRC = pathlib.Path(gtboson.__file__).parent
 LIBRARY = ("__init__", "gelfand", "polyengine", "basisgen", "coupling")
+ORACLE_MODULES = ("oracles", "racah")
 
 
 def _imports_oracles(tree: ast.AST) -> bool:
@@ -25,7 +27,7 @@ def _imports_oracles(tree: ast.AST) -> bool:
             names = [a.name for a in node.names]
         else:
             continue
-        if any(n.split(".")[-1] == "oracles" for n in names):
+        if any(n.split(".")[-1] in ORACLE_MODULES for n in names):
             return True
     return False
 
@@ -46,14 +48,16 @@ def test_library_module_does_not_import_oracles(name):
 
 def test_import_rule_sees_every_import_form():
     for text in ("from .oracles import p_n_1_oracle", "from . import oracles",
-                 "import gtboson.oracles", "from gtboson.oracles import x"):
+                 "import gtboson.oracles", "from gtboson.oracles import x",
+                 "from .racah import racah_threej_oracle",
+                 "from . import racah"):
         assert _imports_oracles(ast.parse(text)), text
 
 
 @pytest.mark.parametrize("module", [gtboson, gelfand, polyengine, basisgen,
                                     coupling], ids=lambda m: m.__name__)
 def test_oracle_routes_are_not_library_surface(module):
-    assert not set(vars(module)) & set(oracles.__all__)
+    assert not set(vars(module)) & set(oracles.__all__ + racah.__all__)
 
 
 def _names_fraction(node: ast.AST) -> bool:
@@ -78,6 +82,30 @@ def test_no_integer_bridge():
         defined = [n.lineno for n in ast.walk(tree)
                    if isinstance(n, ast.FunctionDef) and n.name == "_as_int"]
         assert not defined, f"_as_int in {path.name} at lines {defined}"
+
+
+def _exponents_calls_outside_layout(tree: ast.AST) -> list[int]:
+    """Lines of `.exponents(` calls that no `PackedLayout` class body
+    holds."""
+    inside = {id(n) for c in ast.walk(tree)
+              if isinstance(c, ast.ClassDef) and c.name == "PackedLayout"
+              for n in ast.walk(c)}
+    return [n.lineno for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr == "exponents" and id(n) not in inside]
+
+
+def test_packed_keys_are_read_back_only_by_the_layout():
+    # `PackedLayout.unpack` is the one way from a packed key to a monomial
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = _exponents_calls_outside_layout(tree)
+        assert not lines, f".exponents( in {path.name} at lines {lines}"
+    assert _exponents_calls_outside_layout(
+        ast.parse("def f(layout, k):\n    return layout.exponents(k)")) == [2]
+    assert not _exponents_calls_outside_layout(ast.parse(
+        "class PackedLayout:\n    def unpack(self, k):\n"
+        "        return self.exponents(k)"))
 
 
 PUBLIC = {
