@@ -288,7 +288,14 @@ def _branch_poly(p: GelfandPattern) -> ExactPoly:
 
 def _finish(p: GelfandPattern, poly: ExactPoly) -> BasisPolynomial:
     """The basis polynomial of p: poly signed so that its highest monomial
-    is positive, with its Bargmann norm squared."""
+    is positive, with its Bargmann norm squared.
+
+    The flip never fires on `_branch_poly`: a kernel coefficient is a sum,
+    with positive coefficients, of products of minors on rows 1..k (z11^h
+    for n = 1).  The highest term of the minor on columns c1 < ... < ck is
+    its diagonal z[1,c1]...z[k,ck], with coefficient +1, and `_mono_order`
+    is lexicographic, a monomial order, so no highest term cancels (tested
+    on every U(2)-U(4) pattern with h1 <= 4)."""
     if poly.leading_coefficient() < 0:
         poly = -poly
     return BasisPolynomial(p, poly, bargmann_inner(poly, poly))

@@ -26,18 +26,13 @@ from itertools import chain, islice
 
 from . import __version__
 from .basisgen import basis_from_branching, p_n_1
-from .coupling import (
-    IsoscalarUndefined,
-    coupling_table,
-    su2_threej,
-    su3_isoscalar,
-)
+from .coupling import coupling_table, su2_threej, su3_isoscalar
 from .gelfand import (
     ConsistencyError,
     DomainError,
     GelfandPattern,
     IrrepLabel,
-    StructureError,
+    _completed_rows,
     _rows_text,
     enumerate_patterns,
     weyl_dimension,
@@ -144,7 +139,6 @@ def _cmd_patterns(args) -> Iterable[str]:
     if count > _MAX_PATTERNS:
         raise DomainError(f"label {args.label} has {count} patterns, more "
                           f"than the limit of {_MAX_PATTERNS}")
-    pats = enumerate_patterns(label)
     if args.format == "json":
         import json
 
@@ -152,9 +146,11 @@ def _cmd_patterns(args) -> Iterable[str]:
         # with the same text as `_json_text`
         encoder = json.JSONEncoder(indent=2, sort_keys=True,
                                    default=GelfandPattern.to_json)
+        pats = enumerate_patterns(label)
         doc = {"label": list(label.h), "count": len(pats), "patterns": pats}
         return chain(encoder.iterencode(doc), ("\n",))
-    lines = (_rows_text(p.rows) + "\n" for p in pats)
+    # generated rows are valid patterns, so text and csv build no objects
+    lines = (_rows_text(rows) + "\n" for rows in _completed_rows((label.h,)))
     if args.format == "csv":
         return chain(("pattern\n",), lines)
     return lines
@@ -246,13 +242,11 @@ def _cmd_su3cg(args) -> str:
 
 def _cmd_isoscalar(args) -> str:
     labels = _parse_labels_triple(args.labels)
-    rows = [tuple(_numbers(part)) for part in args.rows.split(";")]
-    if len(rows) != 3 or any(len(r) != 2 for r in rows):
-        raise DomainError("expected three middle rows 'a,b;c,d;e,f'")
+    rows = [_numbers(part) for part in args.rows.split(";")]
     value = su3_isoscalar(labels, rows, args.rho)
     if args.format == "json":
         return _json_text({"labels": [list(l.h) for l in labels],
-                           "rows": [list(r) for r in rows],
+                           "rows": rows,
                            "rho": args.rho,
                            "value": value.to_json()})
     return f"{value.text()}\n"
@@ -274,86 +268,79 @@ class _SelftestFailure(Exception):
     pass
 
 
-def build_parser(defaults: dict[str, str]) -> argparse.ArgumentParser:
+# Each command: its help, its own arguments (flag to add_argument options),
+# whether it takes --group, and its handler.  Every command also takes
+# --format and --output.
+_COMMANDS = {
+    "patterns": ("enumerate Gel'fand patterns",
+                 {"--label": dict(required=True)}, True, _cmd_patterns),
+    "dim": ("Weyl dimension of a label",
+            {"--label": dict(required=True)}, True, _cmd_dim),
+    "basis": ("basis polynomial of a pattern",
+              {"--pattern": dict(required=True, help="rows top to bottom, "
+                                 "e.g. '2,1,0;2,1;2'")},
+              True, _cmd_basis),
+    "pn1": ("combinatorial evaluation factor",
+            {"--pattern": dict(required=True)}, False, _cmd_pn1),
+    "threej": ("SU(2) 3-j symbol",
+               {"--j": dict(required=True, help="three spins, e.g. 0.5,0.5,0"),
+                "--m": dict(required=True, help="three projections")},
+               False, _cmd_threej),
+    "su3cg": ("SU(3) Wigner coefficient table",
+              {"--labels": dict(required=True, help="three labels, e.g. "
+                                "'1,0,0;1,1,0;1,1,1'")},
+              False, _cmd_su3cg),
+    "isoscalar": ("SU(3) isoscalar factor",
+                  {"--labels": dict(required=True),
+                   "--rows": dict(required=True, help="three middle rows, "
+                                  "e.g. '1,0;1,0;1,1'"),
+                   "--rho": dict(type=int, default=1)},
+                  False, _cmd_isoscalar),
+    "selftest": ("run the verification suites",
+                 {"--suite": dict(action="append", choices=_SUITES,
+                                  help="restrict to this suite (repeatable)")},
+                 False, _cmd_selftest),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command.  --format and --group default to None,
+    so that `run` can tell a flag from the config that fills it in."""
     parser = argparse.ArgumentParser(
         prog="gtboson",
         description="Exact Gel'fand pattern, boson basis and coupling tables")
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--config", help="key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, group=True):
-        p.add_argument("--format", choices=_FORMATS,
-                       default=defaults.get("format", "text"))
+    for name, (text, options, group, fn) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
+        p.add_argument("--format", choices=_FORMATS)
         p.add_argument("--output", "-o", help="output file (relative paths "
                        "resolve against GTBOSON_OUTPUT_DIR)")
         if group:
-            p.add_argument("--group", choices=sorted(_GROUPS),
-                           default=defaults.get("group"))
-
-    p = sub.add_parser("patterns", help="enumerate Gel'fand patterns")
-    p.add_argument("--label", required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_patterns)
-
-    p = sub.add_parser("dim", help="Weyl dimension of a label")
-    p.add_argument("--label", required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_dim)
-
-    p = sub.add_parser("basis", help="basis polynomial of a pattern")
-    p.add_argument("--pattern", required=True,
-                   help="rows top to bottom, e.g. '2,1,0;2,1;2'")
-    common(p)
-    p.set_defaults(fn=_cmd_basis)
-
-    p = sub.add_parser("pn1", help="combinatorial evaluation factor")
-    p.add_argument("--pattern", required=True)
-    common(p, group=False)
-    p.set_defaults(fn=_cmd_pn1)
-
-    p = sub.add_parser("threej", help="SU(2) 3-j symbol")
-    p.add_argument("--j", required=True, help="three spins, e.g. 0.5,0.5,0")
-    p.add_argument("--m", required=True, help="three projections")
-    common(p, group=False)
-    p.set_defaults(fn=_cmd_threej)
-
-    p = sub.add_parser("su3cg", help="SU(3) Wigner coefficient table")
-    p.add_argument("--labels", required=True,
-                   help="three labels, e.g. '1,0,0;1,1,0;1,1,1'")
-    common(p, group=False)
-    p.set_defaults(fn=_cmd_su3cg)
-
-    p = sub.add_parser("isoscalar", help="SU(3) isoscalar factor")
-    p.add_argument("--labels", required=True)
-    p.add_argument("--rows", required=True,
-                   help="three middle rows, e.g. '1,0;1,0;1,1'")
-    p.add_argument("--rho", type=int, default=1)
-    common(p, group=False)
-    p.set_defaults(fn=_cmd_isoscalar)
-
-    p = sub.add_parser("selftest", help="run the verification suites")
-    p.add_argument("--suite", action="append", choices=_SUITES,
-                   help="restrict to this suite (repeatable)")
-    common(p, group=False)
-    p.set_defaults(fn=_cmd_selftest)
-
+            p.add_argument("--group", choices=sorted(_GROUPS))
+        p.set_defaults(fn=fn)
     return parser
 
 
 def run(argv=None) -> int:
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv)
     try:
-        args = build_parser(_load_config(known.config)).parse_args(argv)
+        args = build_parser().parse_args(argv)
+        # a flag beats the config (--config or GTBOSON_CONFIG), and the
+        # config beats the default; a command without --group ignores it
+        for key, value in _load_config(args.config).items():
+            if vars(args).get(key, "") is None:
+                setattr(args, key, value)
+        args.format = args.format or "text"
         _emit(args.fn(args), args.output)
     except SystemExit as exc:
         return int(exc.code or 0)
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (DomainError, StructureError, IsoscalarUndefined, ValueError) as exc:
+    except ValueError as exc:  # every input error of the library is one
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except _SelftestFailure as exc:

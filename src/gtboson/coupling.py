@@ -35,6 +35,7 @@ directly or summed in closed form over the fifteen-index linear system.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections.abc import Sequence
@@ -47,6 +48,7 @@ from .gelfand import (
     DomainError,
     GelfandPattern,
     IrrepLabel,
+    StructureError,
     _broken_betweenness,
     _pattern_rows,
     _rows_text,
@@ -218,7 +220,9 @@ class CouplingTable:
     def value(self, patterns, rho: int) -> SqrtRational:
         """The entry of a pattern triple at rho; exact zero for an absent
         key.  DomainError when a pattern is not one of its slot's label,
-        or rho is outside 1..rho_count."""
+        or rho is outside 1..rho_count; TypeError for a rho that is not an
+        integer."""
+        rho = operator.index(rho)
         key = tuple(_pattern_rows(p) for p in patterns) + (rho,)
         val = self.entries.get(key)
         if val is None:
@@ -469,12 +473,13 @@ def coupling_table(labels) -> CouplingTable:
 
 
 def _table_at(labels, rho: int) -> CouplingTable:
-    """The table of a triple that couples with multiplicity rho or more."""
+    """The table of a triple that couples with multiplicity rho or more;
+    TypeError for a rho that is not an integer."""
     table = coupling_table(labels)
     if not table.rho_count:
         raise DomainError(f"labels {[list(l.h) for l in table.labels]} "
                           "do not couple")
-    if not 1 <= rho <= table.rho_count:
+    if not 1 <= operator.index(rho) <= table.rho_count:
         raise DomainError(f"rho out of range 1..{table.rho_count}")
     return table
 
@@ -491,46 +496,36 @@ def su3_isoscalar(labels, su2_rows, rho: int = 1) -> SqrtRational:
     """Isoscalar factor: the Wigner coefficient divided by its embedded SU(2)
     3-j factor, independent of the bottom-row choice.
 
-    `su2_rows` is the triple of middle rows [h12, h22] (one per slot); all
-    valid bottom rows are scanned and the ratios must agree.  If every SU(2)
-    factor vanishes, the isoscalar is undefined and IsoscalarUndefined is
-    raised.  DomainError when the triple does not couple or rho is outside
-    1..rho_count.
+    `su2_rows` is the triple of middle rows [h12, h22] (one per slot),
+    checked once: StructureError unless there are three rows of two
+    entries, DomainError for a row that does not branch from its label.
+    Every bottom row is then scanned on the checked integers, and the
+    ratios must agree.  If every SU(2) factor vanishes, the isoscalar is
+    undefined and IsoscalarUndefined is raised.  DomainError when the
+    triple does not couple or rho is outside 1..rho_count.
     """
     labels = tuple(as_label(l) for l in labels)
     rows = [tuple(map(operator.index, r)) for r in su2_rows]
+    if list(map(len, rows)) != [2, 2, 2]:
+        raise StructureError("expected three middle rows of two entries, "
+                             f"got rows of lengths {list(map(len, rows))}")
     table = _table_at(labels, rho)
-    ratios: list[SqrtRational] = []
-    for bots in _bottom_choices(labels, rows):
-        pats = [GelfandPattern([list(labels[s].h), list(rows[s]), [bots[s]]])
-                for s in range(3)]
-        sub2 = [GelfandPattern([list(rows[s]), [bots[s]]]) for s in range(3)]
-        tj = su2_threej(*sub2)
-        if tj.is_zero():
-            continue
-        cg = table.value(pats, rho)
-        ratios.append(cg / tj)
+    for label, row in zip(labels, rows):
+        broken = _broken_betweenness((label.h, row))
+        if broken is not None:
+            raise DomainError(f"row {row} violates branching under "
+                              f"{list(label.h)}: {broken}")
+    zero = SqrtRational.zero()
+    ratios: set[SqrtRational] = set()
+    for bots in itertools.product(*(range(h22, h12 + 1) for h12, h22 in rows)):
+        tj = _threej_core([(h12 - h22, 2 * b - h12 - h22)
+                           for (h12, h22), b in zip(rows, bots)])
+        if not tj.is_zero():
+            key = tuple((l.h, r, (b,)) for l, r, b in zip(labels, rows, bots))
+            ratios.add(table.entries.get(key + (rho,), zero) / tj)
     if not ratios:
         raise IsoscalarUndefined(
             f"every SU(2) factor vanishes for rows {rows} of {labels}")
-    first = ratios[0]
-    for r in ratios[1:]:
-        if r != first:
-            raise ConsistencyError("isoscalar ratio depends on the bottom row")
-    return first
-
-
-def _bottom_choices(labels, rows):
-    ranges = []
-    for s in range(3):
-        h12, h22 = rows[s]
-        l = labels[s]
-        broken = _broken_betweenness((l.h, rows[s]))
-        if broken is not None:
-            raise DomainError(f"row {rows[s]} violates branching under "
-                              f"{list(l.h)}: {broken}")
-        ranges.append(range(h22, h12 + 1))
-    for b1 in ranges[0]:
-        for b2 in ranges[1]:
-            for b3 in ranges[2]:
-                yield (b1, b2, b3)
+    if len(ratios) > 1:
+        raise ConsistencyError("isoscalar ratio depends on the bottom row")
+    return ratios.pop()

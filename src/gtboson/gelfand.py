@@ -195,19 +195,20 @@ def _branch_rows(upper: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
                                for hi, lo in zip(upper, upper[1:])))
 
 
+def _completed_rows(rows: tuple) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The rows of every pattern that starts with `rows`, in canonical order
+    (descending lexicographic, rows read top to bottom); each row
+    interleaves the one above by construction, so every one is valid."""
+    if len(rows[-1]) == 1:
+        yield rows
+        return
+    for nxt in _branch_rows(rows[-1]):
+        yield from _completed_rows(rows + (nxt,))
+
+
 def enumerate_patterns(label) -> list[GelfandPattern]:
-    """All patterns with the given top row, in canonical order: descending
-    lexicographic on the rows read top to bottom, left to right."""
-    label = as_label(label)
-
-    def rec(rows: tuple[tuple[int, ...], ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if len(rows[-1]) == 1:
-            yield rows
-            return
-        for nxt in _branch_rows(rows[-1]):
-            yield from rec(rows + (nxt,))
-
-    return [GelfandPattern(rows) for rows in rec((label.h,))]
+    """All patterns with the given top row, in canonical order."""
+    return [GelfandPattern(r) for r in _completed_rows((as_label(label).h,))]
 
 
 def weyl_dimension(label) -> int:

@@ -6,6 +6,7 @@ import pytest
 
 from gtboson.basisgen import (
     _branch_family,
+    _branch_poly,
     _u4_indices,
     basis_from_branching,
     branching_kernel,
@@ -242,6 +243,20 @@ class TestBranchingKernel:
             pairs = [pair for poly in _branch_family(label, row).values()
                      for m in poly.terms for pair in m]
             assert len({id(pair) for pair in pairs}) == len(set(pairs)), row
+
+
+class TestSignConvention:
+    def test_kernel_coefficients_lead_with_a_positive_term(self):
+        # the theorem in `_finish`'s docstring: its sign flip never fires on
+        # a kernel coefficient (35 U(2), 294 U(3) and 2,772 U(4) patterns)
+        count = 0
+        for n in (2, 3, 4):
+            for h in itertools.combinations_with_replacement(range(4, -1, -1),
+                                                             n):
+                for p in enumerate_patterns(IrrepLabel(h)):
+                    assert _branch_poly(p).leading_coefficient() > 0, p
+                    count += 1
+        assert count == 35 + 294 + 2_772
 
 
 class TestSemimaxNorms:

@@ -44,7 +44,7 @@ def test_patterns_json_is_streamed_with_the_whole_text(tmp_path, capsys):
     whole = cli._json_text({"label": label, "count": len(pats),
                             "patterns": [p.to_json() for p in pats]})
     argv = ("patterns", "--label", "6,4,2,0", "--format", "json")
-    args = cli.build_parser({}).parse_args(argv)
+    args = cli.build_parser().parse_args(argv)
     assert not isinstance(cli._cmd_patterns(args), str)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and out == whole
@@ -55,15 +55,37 @@ def test_patterns_json_is_streamed_with_the_whole_text(tmp_path, capsys):
 
 def test_patterns_refuses_a_label_over_the_limit(capsys, monkeypatch):
     # 692,680,351 patterns: refused from the Weyl dimension, before any
-    # enumeration starts
-    def enumerate_patterns(label):
+    # enumeration starts (text and csv stream the row generator, json
+    # enumerates the patterns)
+    def started(*args):
         raise AssertionError("enumeration started")
 
-    monkeypatch.setattr(cli, "enumerate_patterns", enumerate_patterns)
-    code, out, err = run_cli(capsys, "patterns", "--label", "30,20,10,0,0")
-    assert code == 1 and out == ""
-    assert err == ("error: label 30,20,10,0,0 has 692680351 patterns, more "
-                   "than the limit of 100000\n")
+    monkeypatch.setattr(cli, "_completed_rows", started)
+    monkeypatch.setattr(cli, "enumerate_patterns", started)
+    for fmt in ("text", "csv", "json"):
+        code, out, err = run_cli(capsys, "patterns", "--label",
+                                 "30,20,10,0,0", "--format", fmt)
+        assert code == 1 and out == ""
+        assert err == ("error: label 30,20,10,0,0 has 692680351 patterns, "
+                       "more than the limit of 100000\n")
+
+
+def test_patterns_text_streams_rows_without_pattern_objects(capsys,
+                                                          monkeypatch):
+    # the generated rows are written as they come: no pattern is built
+    label = [3, 2, 1, 0]
+    expect = "".join(cli._rows_text(p.rows) + "\n"
+                     for p in cli.enumerate_patterns(label))
+
+    def built(self, rows):
+        raise AssertionError("pattern built")
+
+    monkeypatch.setattr(cli.GelfandPattern, "__init__", built)
+    code, out, _ = run_cli(capsys, "patterns", "--label", "3,2,1,0")
+    assert code == 0 and out == expect
+    code, out, _ = run_cli(capsys, "patterns", "--label", "3,2,1,0",
+                           "--format", "csv")
+    assert code == 0 and out == "pattern\n" + expect
 
 
 @pytest.mark.parametrize("j, m", [("1e6,1e6,0", "0,0,0"),
@@ -163,6 +185,18 @@ def test_isoscalar(capsys):
     assert code == 0 and out == "2/1*sqrt(1/6)\n"
 
 
+@pytest.mark.parametrize("rows, lengths", [
+    ("1,0;1,0;1,1;1,0", "[2, 2, 2, 2]"), ("1,0,0;1,0;1,1", "[3, 2, 2]"),
+    ("1;1,0;1,1", "[1, 2, 2]"), ("1,0;1,0", "[2, 2]")])
+def test_isoscalar_rows_of_the_wrong_shape(capsys, rows, lengths):
+    # the library's own message, with exit code 1
+    code, out, err = run_cli(capsys, "isoscalar", "--labels",
+                             "1,0,0;1,1,0;1,1,1", "--rows", rows)
+    assert code == 1 and out == ""
+    assert err == ("error: expected three middle rows of two entries, got "
+                   f"rows of lengths {lengths}\n")
+
+
 def test_internal_disagreement_exits_3(capsys, monkeypatch):
     from gtboson.polyengine import SqrtRational
 
@@ -223,6 +257,45 @@ def test_config_sets_default_format(tmp_path, capsys):
                            "--group", "u2", "--label", "1,0")
     assert code == 0
     assert json.loads(out)["dimension"] == 2
+
+
+def test_flag_beats_config_beats_default(tmp_path, capsys, monkeypatch):
+    # format and group from a config file, by --config and by GTBOSON_CONFIG
+    conf = tmp_path / "conf"
+    conf.write_text("format=json\ngroup=u4\n")
+    argv = ("dim", "--label", "1,0")
+    for via_env in (False, True):
+        if via_env:
+            monkeypatch.setenv("GTBOSON_CONFIG", str(conf))
+            pre = ()
+        else:
+            pre = ("--config", str(conf))
+        code, out, _ = run_cli(capsys, *pre, *argv, "--format", "text",
+                               "--group", "u2")
+        assert code == 0 and out == "2\n"
+        code, out, err = run_cli(capsys, *pre, *argv, "--group", "u2")
+        assert code == 0 and json.loads(out)["dimension"] == 2
+        code, out, err = run_cli(capsys, *pre, *argv)
+        assert code == 1 and err == ("error: label 1,0 has 2 entries, "
+                                     "expected 4 for u4\n")
+    # a command without --group ignores the config's group
+    code, out, _ = run_cli(capsys, "pn1", "--pattern", "1,0,0;1,0;1")
+    assert code == 0 and json.loads(out)["value"] == 1
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("dim", "--help"),
+                                  ("--version",)])
+def test_help_and_version_do_not_read_the_config(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, "--config", str(tmp_path), *argv)
+    assert code == 0 and out and err == ""
+
+
+def test_usage_error_is_reported_before_a_config_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "--config", str(tmp_path), "dim")
+    assert code == 2 and out == ""
+    assert err.startswith("usage: gtboson dim ")
+    assert err.endswith("error: the following arguments are required: "
+                        "--label\n")
 
 
 def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys):

@@ -2,7 +2,8 @@
 
 Each digest is the sha256 of stdout.  The set covers every subcommand in
 every output format, U(3) and U(4) bases, a 3-j symbol at j = 30, the
-8 x 8 -> 8 table and an isoscalar factor at multiplicity 2.
+8 x 8 -> 8 table and an isoscalar factor at multiplicity 2.  The help
+texts and the bare usage error are pinned the same way.
 """
 
 import hashlib
@@ -83,3 +84,40 @@ def test_stdout_digest(capsys, command):
     assert cli.run(shlex.split(command)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[command]
+
+
+# sha256 of the text that --help prints (stdout, exit 0) for the program and
+# each command, and of the usage error that a bare `gtboson` prints (stderr,
+# exit 2), at 80 columns
+HELP_SHA256 = {
+    "--help":
+        "ef2419d9c315f0746d8dfa899baa4f3c16c2f6e722728ede343ef5733b6ee541",
+    "patterns --help":
+        "ee0ac17b4ca4d74ca8036a8a8f2bf3eb07c86ebed2bb7c0bfb1063a0cddb3a0b",
+    "dim --help":
+        "e3c3b2197d5872b4b995e09d7d01d22256f10eef72cfe33e1d63568c214906bf",
+    "basis --help":
+        "c10b4a80a54f0673de0ed6330abbf692e587378e5f9196e176a4b5b75ca8e67e",
+    "pn1 --help":
+        "63bc1ce79a28ffb83372c3e974426e6ebb8592d00d0f92847ff292475aab707c",
+    "threej --help":
+        "713505271c838514f4b3909d4e3713d06ed091c0174ca9cd8137c2f42d8640f1",
+    "su3cg --help":
+        "7e5bfae02e1e936a5fb2b98469e43a79d8a3afbb695b31a14c1a479522d64840",
+    "isoscalar --help":
+        "550d99872433ff8bf3d60e5d1cf2fcd52d2e877106e6b05981d9d6488da597b2",
+    "selftest --help":
+        "08095704a05e3c2cff0670a96ceeb1fdf3f772d3e7037aac12e8cd160c83f907",
+    "":
+        "9fe3eddfc89556bbb99c0749419f2ec92faf9604e08cf5340abafb8a4f0e1ae1",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_SHA256))
+def test_help_digest(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    code = cli.run(shlex.split(command))
+    out = capsys.readouterr()
+    text = out.out if command else out.err
+    assert code == (0 if command else 2)
+    assert hashlib.sha256(text.encode()).hexdigest() == HELP_SHA256[command]

@@ -36,6 +36,7 @@ from gtboson.gelfand import (
     DomainError,
     GelfandPattern,
     IrrepLabel,
+    StructureError,
     enumerate_patterns,
     lr_exponents,
     weight,
@@ -352,6 +353,21 @@ class TestCouplingTables:
         with pytest.raises(TypeError):
             coupling_table(((2.5, 1, 0), (2, 1, 0), (2, 1, 0)))
 
+    @pytest.mark.parametrize("rho", [1.5, 2.0])
+    def test_non_integer_rho_is_refused(self, rho):
+        # rho = 1.5 used to read an exact zero, and 2.0 the rho = 2 value
+        labels = ((2, 1, 0),) * 3
+        pats = ([[2, 1, 0], [2, 1], [2]], [[2, 1, 0], [1, 0], [0]],
+                [[2, 1, 0], [2, 0], [1]])
+        assert su3_wigner(labels, pats, 2).text() == "7/1*sqrt(1/210)"
+        assert su3_isoscalar(labels, ((2, 0),) * 3, 2).text() == \
+            "-5/1*sqrt(1/35)"
+        for read in (lambda: su3_wigner(labels, pats, rho),
+                     lambda: coupling_table(labels).value(pats, rho),
+                     lambda: su3_isoscalar(labels, ((2, 0),) * 3, rho)):
+            with pytest.raises(TypeError):
+                read()
+
     def test_pattern_outside_its_label_is_refused(self):
         labels = ((2, 1, 0),) * 3
         good = [[2, 1, 0], [1, 0], [0]], [[2, 1, 0], [2, 1], [2]]
@@ -577,7 +593,73 @@ class TestPinnedTables:
             table.rho_count * weyl_dimension(labels[2])
 
 
+# The four tables that the su3-query benchmark reads, then the `su3`
+# selftest triples.
+_ISOSCALAR_TRIPLES = (
+    ((2, 1, 0), (2, 1, 0), (2, 1, 0)),
+    ((2, 1, 0), (2, 1, 0), (4, 2, 0)),
+    ((1, 0, 0), (2, 1, 0), (2, 2, 0)),
+    ((2, 0, 0), (2, 1, 0), (3, 2, 0)),
+    ((1, 0, 0), (1, 0, 0), (1, 0, 0)),
+    ((1, 0, 0), (1, 0, 0), (2, 2, 0)),
+    ((1, 0, 0), (1, 1, 0), (1, 1, 1)),
+    ((1, 0, 0), (1, 1, 0), (2, 1, 0)),
+)
+
+
 class TestIsoscalars:
+    def test_every_read_of_the_pinned_triples(self):
+        # every (middle rows, rho) of each triple, undefined reads included,
+        # pinned by one digest of the value texts
+        lines = []
+        for t in _ISOSCALAR_TRIPLES:
+            middles = [sorted({p.rows[1] for p in enumerate_patterns(h)},
+                              reverse=True) for h in t]
+            for rows in itertools.product(*middles):
+                for rho in range(1, coupling_table(t).rho_count + 1):
+                    try:
+                        v = su3_isoscalar(t, rows, rho).text()
+                    except IsoscalarUndefined:
+                        v = "undefined"
+                    lines.append(f"{t} {rows} {rho} {v}")
+        assert len(lines) == 312
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "be4e2771928c60604d75a8bd678a36053acf88b0c7dae548811086d50da6f29f")
+
+    def test_a_read_builds_no_pattern(self, monkeypatch):
+        # rows are checked once; the scan works on integers and calls
+        # neither the pattern constructor nor su2_threej
+        labels = ((2, 1, 0),) * 3
+        expect = su3_isoscalar(labels, ((2, 0),) * 3, 2)
+        built = []
+        init = GelfandPattern.__init__
+
+        def counted(self, rows):
+            built.append(rows)
+            init(self, rows)
+
+        def su2_threej(*pats):
+            raise AssertionError("su2_threej called")
+
+        monkeypatch.setattr(GelfandPattern, "__init__", counted)
+        monkeypatch.setattr(coupling, "su2_threej", su2_threej)
+        assert su3_isoscalar(labels, ((2, 0),) * 3, 2) == expect
+        assert built == []
+        GelfandPattern([[1, 0], [1]])
+        assert built == [[[1, 0], [1]]]
+
+    @pytest.mark.parametrize("rows, lengths", [
+        (((2, 0),) * 4, "[2, 2, 2, 2]"), (((2, 0, 0), (2, 0), (2, 0)),
+                                          "[3, 2, 2]"),
+        (((2,), (2, 0), (2, 0)), "[1, 2, 2]"), (((2, 0), (2, 0)), "[2, 2]")])
+    def test_rows_of_the_wrong_shape_are_refused(self, rows, lengths):
+        # a fourth row used to be ignored, and the other shapes raised bare
+        # unpacking or index errors
+        with pytest.raises(StructureError) as exc:
+            su3_isoscalar(((2, 1, 0),) * 3, rows, 1)
+        assert str(exc.value) == ("expected three middle rows of two "
+                                  f"entries, got rows of lengths {lengths}")
+
     def test_trivial_coupling(self):
         v = su3_isoscalar(((0, 0, 0),) * 3, ((0, 0), (0, 0), (0, 0)), 1)
         assert v == SqrtRational.one()
@@ -604,8 +686,8 @@ class TestIsoscalars:
 
     def test_bottom_row_dependence_is_a_consistency_error(self, monkeypatch):
         calls = iter(range(1, 100))
-        monkeypatch.setattr(coupling, "su2_threej",
-                            lambda *p: SqrtRational(next(calls)))
+        monkeypatch.setattr(coupling, "_threej_core",
+                            lambda tjm: SqrtRational(next(calls)))
         with pytest.raises(ConsistencyError):
             su3_isoscalar(((2, 1, 0),) * 3, ((2, 0), (2, 0), (2, 0)), 1)
 
