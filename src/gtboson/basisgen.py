@@ -6,11 +6,15 @@ pattern's parameter monomial; that coefficient is the Gel'fand basis
 polynomial up to normalization.  Each kernel is expanded once and split by
 parameter monomial, which yields the basis of every pattern under its two
 top rows.  Closed single-sum (U(3)) and five-index (U(4)) forms are tested
-against this kernel route, the authoritative oracle.
+against this kernel route, the authoritative oracle; each is one weighted
+sum of products of minors, expanded on one packed layout
+(`polyengine.product_sum`).
 
-Basis polynomials have integer coefficients and carry their integer norm
-squared, never a square root; the closed-form normalization constants are
-exact rationals.
+Every route ends in `_finish`, which adds the norm squared in one pass over
+the terms; no sign is searched for, because every route's highest term is
+positive by construction.  Basis polynomials have integer coefficients and
+carry their integer norm squared, never a square root; the closed-form
+normalization constants are exact rationals.
 """
 
 from __future__ import annotations
@@ -33,14 +37,15 @@ from .gelfand import (
     lr_exponents,
     pattern_phi,
 )
+from .packed import packed_power_product
 from .polyengine import (
     ExactPoly,
     Monomial,
     _Frozen,
     bargmann_inner,
     minor,
-    packed_power_product,
     power_product,
+    product_sum,
     symbolic_matrix,
     zvar,
 )
@@ -287,17 +292,17 @@ def _branch_poly(p: GelfandPattern) -> ExactPoly:
 
 
 def _finish(p: GelfandPattern, poly: ExactPoly) -> BasisPolynomial:
-    """The basis polynomial of p: poly signed so that its highest monomial
-    is positive, with its Bargmann norm squared.
+    """The basis polynomial of p with its Bargmann norm squared.
 
-    The flip never fires on `_branch_poly`: a kernel coefficient is a sum,
-    with positive coefficients, of products of minors on rows 1..k (z11^h
-    for n = 1).  The highest term of the minor on columns c1 < ... < ck is
-    its diagonal z[1,c1]...z[k,ck], with coefficient +1, and `_mono_order`
-    is lexicographic, a monomial order, so no highest term cancels (tested
-    on every U(2)-U(4) pattern with h1 <= 4)."""
-    if poly.leading_coefficient() < 0:
-        poly = -poly
+    Its highest monomial is positive with no search: every route that gets
+    here (`_branch_poly`, the closed U(2)-U(4) forms, the hypergeometric
+    oracle) sums, with positive weights, products of minors on rows 1..k
+    (z11^h for n = 1).  The highest term of the minor on columns
+    c1 < ... < ck is its diagonal z[1,c1]...z[k,ck], with coefficient +1,
+    and `_mono_order` is lexicographic, a monomial order, so the highest
+    term of a product is the product of the highest terms and no highest
+    term cancels (tested on every route and every U(2)-U(4) pattern with
+    h1 <= 4)."""
     return BasisPolynomial(p, poly, bargmann_inner(poly, poly))
 
 
@@ -337,16 +342,13 @@ def u3_basis_closed(pattern) -> BasisPolynomial:
     d = _upper_minors(3)
     r31, l32 = h12 - h23, h23 - h22
     fixed = [(d[(3,)], h13 - h12), (d[1, 2], h22 - h33), (d[1, 2, 3], h33)]
-    poly = ExactPoly()
-    for i in range(0, min(r31, h11 - h22) + 1):
+    terms = []
+    for i in range(max(0, h11 - h22 - l32), min(r31, h11 - h22) + 1):
         j = h11 - h22 - i
-        if not 0 <= j <= l32:
-            continue
-        c = math.comb(r31, i) * math.comb(l32, j)
-        poly = poly + c * power_product(
-            [(d[(1,)], i), (d[(2,)], r31 - i), (d[1, 3], j),
-             (d[2, 3], l32 - j)] + fixed)
-    return _finish(p, poly)
+        terms.append((math.comb(r31, i) * math.comb(l32, j),
+                      [(d[(1,)], i), (d[(2,)], r31 - i), (d[1, 3], j),
+                       (d[2, 3], l32 - j)] + fixed))
+    return _finish(p, product_sum(terms))
 
 
 def _u4_indices(lr: LRExponents) -> Iterator[tuple[int, ...]]:
@@ -396,12 +398,10 @@ def u4_basis_closed(pattern) -> BasisPolynomial:
     groups = [dm[(1,)], dm[(2,)], dm[(3,)], dm[1, 4], dm[2, 4], dm[3, 4],
               dm[1, 3], dm[2, 3], dm[1, 2], dm[1, 3, 4], dm[2, 3, 4],
               dm[1, 2, 4]]
-    poly = ExactPoly()
-    for idx in _u4_indices(lr):
-        a, b, c, d, e, f, g, h, i, j, k, l = idx
-        coeff = (_multinom(a, b, c) * _multinom(d, e, f)
-                 * _multinom(g, h, i) * _multinom(j, k, l))
-        poly = poly + coeff * power_product(list(zip(groups, idx)) + fixed)
+    poly = product_sum(
+        (_multinom(*idx[:3]) * _multinom(*idx[3:6]) * _multinom(*idx[6:9])
+         * _multinom(*idx[9:]), list(zip(groups, idx)) + fixed)
+        for idx in _u4_indices(lr))
     if poly.is_zero():
         raise DomainError(f"empty five-index sum for {p!r}")
     return _finish(p, poly)

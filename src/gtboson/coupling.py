@@ -19,7 +19,7 @@ slot's basis is projected once onto its monomials (<b, u> is u's
 coefficient in b times the factorials of u's exponents), and each term of W
 is split into its three slot parts and contracted against those
 projections.  W is expanded and contracted in packed exponents
-(`polyengine.packed_power_product`): a slot part is a bit mask of the
+(`packed.packed_power_product`): a slot part is a bit mask of the
 packed term, and the projections are packed in the same layout.  Basis
 and invariant polynomials have integer coefficients, so the pairings are
 accumulated as exact integers and divided by the basis norms only at the
@@ -57,14 +57,13 @@ from .gelfand import (
     patterns_of,
     weyl_dimension,
 )
+from .packed import PackedLayout, packed_power_product
 from .polyengine import (
     ExactPoly,
     Monomial,
-    PackedLayout,
     SqrtRational,
     bargmann_inner,  # noqa: F401  unused here; bench/test_bench.py reads it
     minor,
-    packed_power_product,
     symbolic_matrix,
     zvar,
 )
@@ -157,14 +156,21 @@ def _pq(label: IrrepLabel) -> tuple[int, int]:
     return h[0] - h[1], h[1] - h[2]
 
 
+def _su3_labels(labels) -> tuple[IrrepLabel, ...]:
+    """The labels of a triple; DomainError unless they are three U(3)
+    labels."""
+    labels = tuple(as_label(l) for l in labels)
+    if len(labels) != 3 or any(l.n != 3 for l in labels):
+        raise DomainError("SU(3) coupling requires three U(3) labels")
+    return labels
+
+
 def _k_family(labels) -> dict[int, tuple[int, ...]]:
     """All admissible k-vectors for a label triple, keyed by k3.
 
     Degree matching per slot gives six equations for seven exponents; the
     cubic invariant's exponent k7 is forced and k3 parametrizes the rest."""
-    l1, l2, l3 = (as_label(l) for l in labels)
-    if any(l.n != 3 for l in (l1, l2, l3)):
-        raise DomainError("SU(3) coupling requires three U(3) labels")
+    l1, l2, l3 = _su3_labels(labels)
     (p1, q1), (p2, q2), (p3, q3) = _pq(l1), _pq(l2), _pq(l3)
     tot = p1 + p2 + p3 - q1 - q2 - q3
     if tot % 3 or tot < 0:
@@ -497,24 +503,26 @@ def su3_isoscalar(labels, su2_rows, rho: int = 1) -> SqrtRational:
     3-j factor, independent of the bottom-row choice.
 
     `su2_rows` is the triple of middle rows [h12, h22] (one per slot),
-    checked once: StructureError unless there are three rows of two
-    entries, DomainError for a row that does not branch from its label.
-    Every bottom row is then scanned on the checked integers, and the
-    ratios must agree.  If every SU(2) factor vanishes, the isoscalar is
-    undefined and IsoscalarUndefined is raised.  DomainError when the
-    triple does not couple or rho is outside 1..rho_count.
+    checked once, before the table is built: StructureError unless there
+    are three rows of two entries, DomainError unless there are three U(3)
+    labels or for a row that does not branch from its label.  Every bottom
+    row is then scanned on the checked integers, and the ratios must
+    agree.  If every SU(2) factor vanishes, the isoscalar is undefined and
+    IsoscalarUndefined is raised.  DomainError when the triple does not
+    couple or rho is outside 1..rho_count.
     """
     labels = tuple(as_label(l) for l in labels)
     rows = [tuple(map(operator.index, r)) for r in su2_rows]
     if list(map(len, rows)) != [2, 2, 2]:
         raise StructureError("expected three middle rows of two entries, "
                              f"got rows of lengths {list(map(len, rows))}")
-    table = _table_at(labels, rho)
+    labels = _su3_labels(labels)
     for label, row in zip(labels, rows):
         broken = _broken_betweenness((label.h, row))
         if broken is not None:
             raise DomainError(f"row {row} violates branching under "
                               f"{list(label.h)}: {broken}")
+    table = _table_at(labels, rho)
     zero = SqrtRational.zero()
     ratios: set[SqrtRational] = set()
     for bots in itertools.product(*(range(h22, h12 + 1) for h12, h22 in rows)):

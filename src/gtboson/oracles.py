@@ -43,6 +43,7 @@ from .polyengine import (
     Monomial,
     _Frozen,
     power_product,
+    product_sum,
     xvar,
     yvar,
 )
@@ -451,7 +452,7 @@ def u3_basis_hypergeometric(pattern) -> BasisPolynomial:
     d = _upper_minors(3)
     a, b, c = h22 - h23, h11 - h12, h11 - h23 + 1
     kmax = min(h23 - h22, h12 - h11)
-    acc = ExactPoly()
+    terms = []
     coeff = math.prod(range(c, c + kmax)) * _fact(kmax)
     for k in range(kmax + 1):
         if k:
@@ -460,11 +461,11 @@ def u3_basis_hypergeometric(pattern) -> BasisPolynomial:
             if rem:
                 raise ConsistencyError(f"2F1 term {k} of {p!r} is not an "
                                        "integer multiple of 1/D")
-        acc = acc + coeff * power_product(
-            [(d[(1,)], h11 - h23 + k), (d[(2,)], h12 - h11 - k),
-             (d[1, 3], h23 - h22 - k), (d[2, 3], k), (d[1, 2], h22),
-             (d[(3,)], h13 - h12)])
-    return _finish(p, acc)
+        terms.append((coeff, [(d[(1,)], h11 - h23 + k),
+                              (d[(2,)], h12 - h11 - k),
+                              (d[1, 3], h23 - h22 - k), (d[2, 3], k),
+                              (d[1, 2], h22), (d[(3,)], h13 - h12)]))
+    return _finish(p, product_sum(terms))
 
 
 def u4_free_index_count(pattern) -> int:

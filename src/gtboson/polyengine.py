@@ -11,10 +11,12 @@ Fock-Bargmann pairing take `ExactPoly` entries only and stay in the ring.
 Rationals live outside it, and square roots only in `SqrtRational`, the
 carrier for norms and coupling coefficients at the API boundary.
 
-Every product of polynomials, binary `*`, a power, a product of powers
-prod f**e or a term of a minor, is expanded in packed exponents by one
-kernel (`power_product`), and `PackedLayout.unpack` is the one way a packed
-monomial becomes a stored tuple.
+Every weighted sum of products of powers, sum c * prod f**e, is expanded
+in packed exponents by one kernel (`product_sum`, over
+`packed.packed_product_sum`): on one layout sized before the expansion,
+with the sum unpacked once.  A minor is its signed Leibniz sum, and binary
+`*`, a power and a product of powers (`power_product`) are its one-term
+case.
 
 Everything here is immutable value data; all functions are pure and safe to
 call from multiple threads.
@@ -24,10 +26,11 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import combinations, compress, permutations
+
+from .packed import ProductTerm, packed_product_sum
 
 __all__ = [
     "VarId",
@@ -217,7 +220,7 @@ class ExactPoly:
     def __mul__(self, other) -> "ExactPoly":
         if isinstance(other, int):
             return ExactPoly({m: k * other for m, k in self.terms.items()})
-        return power_product([(self, 1), (self._coerce(other), 1)])
+        return product_sum([(1, [(self, 1), (self._coerce(other), 1)])])
 
     __rmul__ = __mul__
 
@@ -302,147 +305,19 @@ class ExactPoly:
         return f"ExactPoly({self.text()})"
 
 
-# ---------------------------------------------------------------------------
-# Products of powers in packed exponents (Johnson 1974; Monagan and Pearce
-# 2007): each monomial is one int holding every exponent in a fixed-width
-# field, so multiplying two monomials is one integer add.
-# ---------------------------------------------------------------------------
-
-# memoryview formats of the field widths that one cast can read back
-_FIELD_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
-
-
-class PackedLayout:
-    """Field layout of packed monomials over a sorted tuple of variables.
-
-    Each variable has an exponent bound, and every field is wide enough for
-    the largest bound: a whole number of bytes, at least one.  Variable i
-    sits in the i-th field from the low end of the int on a little-endian
-    machine (from the high end on a big-endian one), so
-    `int.to_bytes(..., sys.byteorder)` lays the fields out in variable
-    order and one `memoryview` cast reads every exponent back.  Fields
-    wider than 64 bits are read back by shift and mask.
-    """
-
-    __slots__ = ("variables", "bounds", "width", "_index", "_shifts",
-                 "_nbytes", "_format")
-
-    def __init__(self, bounds: Mapping[VarId, int]):
-        self.variables = tuple(sorted(bounds))
-        self.bounds = tuple(bounds[v] for v in self.variables)
-        bits = max(self.bounds, default=0).bit_length()
-        self.width = 8 * max(1, (bits + 7) // 8)
-        n = len(self.variables)
-        self._index = {v: i for i, v in enumerate(self.variables)}
-        order = range(n) if sys.byteorder == "little" else range(n - 1, -1, -1)
-        self._shifts = tuple(self.width * j for j in order)
-        self._nbytes = n * self.width // 8
-        self._format = _FIELD_FORMATS.get(self.width)
-
-    def pack(self, m: Monomial) -> int | None:
-        """The packed form of m; None when m has a variable outside the
-        layout or an exponent above its variable's bound, which no product
-        sized by this layout has (and which could spill into a neighbouring
-        field)."""
-        key = 0
-        for v, e in m:
-            i = self._index.get(v)
-            if i is None or e > self.bounds[i]:
-                return None
-            key += e << self._shifts[i]
-        return key
-
-    def exponents(self, key: int) -> Sequence[int]:
-        """The exponent of every variable in a packed monomial, in variable
-        order."""
-        if self._format is None:
-            mask = (1 << self.width) - 1
-            return [key >> s & mask for s in self._shifts]
-        return memoryview(key.to_bytes(self._nbytes, sys.byteorder)).cast(
-            self._format)
-
-    def unpack(self, key: int) -> Monomial:
-        """The canonical monomial of a packed key."""
-        exps = self.exponents(key)
-        return tuple(compress(zip(self.variables, exps), exps))
-
-    def mask(self, variables: Iterable[VarId]) -> int:
-        """The bits of the fields of `variables`."""
-        ones = (1 << self.width) - 1
-        return sum(ones << self._shifts[self._index[v]] for v in variables)
-
-
-def _packed_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    if len(a) < len(b):
-        a, b = b, a
-    acc: dict[int, int] = {}
-    get = acc.get
-    for k2, c2 in b.items():
-        for k1, c1 in a.items():
-            k = k1 + k2
-            acc[k] = get(k, 0) + c1 * c2
-    return {k: c for k, c in acc.items() if c}
-
-
-def _packed_pow(a: dict[int, int], e: int) -> dict[int, int]:
-    """a**e for e >= 1, by repeated squaring; a single term is raised
-    directly."""
-    if len(a) == 1:
-        [(k, c)] = a.items()
-        return {k * e: c ** e}
-    result = None
-    while True:
-        if e & 1:
-            result = a if result is None else _packed_mul(result, a)
-        e >>= 1
-        if not e:
-            return result
-        a = _packed_mul(a, a)
-
-
-def packed_power_product(factors: Iterable[tuple[ExactPoly, int]],
-                         variables: Iterable[VarId] = ()
-                         ) -> tuple[PackedLayout, dict[int, int]]:
-    """prod f**e over the (f, e) pairs, as packed terms and their layout.
-
-    The layout holds `variables` and every variable of a factor, in
-    canonical order; each variable's bound is sum e * (its largest exponent
-    in f), the exact largest exponent any partial product can reach, so no
-    field ever overflows.  ValueError for an exponent that is not an int
-    >= 0.
-    """
-    factors = list(factors)
-    bounds = dict.fromkeys(variables, 0)
-    for f, e in factors:
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("polynomial power requires an integer k >= 0")
-        if not e:
-            continue
-        top: dict[VarId, int] = {}
-        for m in f.terms:
-            for v, d in m:
-                if d > top.get(v, 0):
-                    top[v] = d
-        for v, d in top.items():
-            bounds[v] = bounds.get(v, 0) + e * d
-    layout = PackedLayout(bounds)
-    pack = layout.pack
-    powers = sorted((_packed_pow({pack(m): c for m, c in f.terms.items()}, e)
-                     for f, e in factors if e), key=len)
-    product = powers.pop(0) if powers else {0: 1}
-    for p in powers:
-        product = _packed_mul(product, p)
-    return layout, product
+def product_sum(terms: Iterable[ProductTerm]) -> ExactPoly:
+    """sum c * prod f**e over the (c, factors) terms (0 for none), expanded
+    on one packed layout (`packed_product_sum`) and unpacked once at the
+    end into canonical monomials.  TypeError for a weight that is not an
+    int, ValueError for an exponent that is not an int >= 0."""
+    layout, packed = packed_product_sum(terms)
+    return ExactPoly._raw(layout.unpack_terms(packed))
 
 
 def power_product(factors: Iterable[tuple[ExactPoly, int]]) -> ExactPoly:
-    """prod f**e over the (f, e) pairs (1 for none), expanded in packed
-    exponents (`packed_power_product`) and unpacked once at the end into
-    canonical monomials.  ValueError for an exponent that is not an int
-    >= 0."""
-    layout, packed = packed_power_product(factors)
-    unpack = layout.unpack
-    return ExactPoly._raw({unpack(k): c for k, c in packed.items()})
+    """prod f**e over the (f, e) pairs (1 for none): the one-term case of
+    `product_sum`.  ValueError for an exponent that is not an int >= 0."""
+    return product_sum([(1, factors)])
 
 
 def symbolic_matrix(n: int, slot: int = 0) -> list[list[ExactPoly]]:
@@ -454,8 +329,8 @@ def symbolic_matrix(n: int, slot: int = 0) -> list[list[ExactPoly]]:
 def minor(mat: Sequence[Sequence[ExactPoly]], rows: Sequence[int],
           cols: Sequence[int]) -> ExactPoly:
     """Determinant of the `ExactPoly` submatrix on `rows` x `cols`
-    (1-indexed), by the Leibniz formula: one `power_product` per
-    permutation, skipping every term with a zero entry.
+    (1-indexed), by the Leibniz formula as one signed `product_sum`,
+    skipping every term with a zero entry.
 
     Row/column index lists must be non-empty, strictly increasing and of
     equal length.
@@ -469,14 +344,18 @@ def minor(mat: Sequence[Sequence[ExactPoly]], rows: Sequence[int],
             raise ValueError("minor indices must be strictly increasing")
         if idx[0] < 1 or idx[-1] > len(mat):
             raise ValueError("minor index out of range")
-    det = ExactPoly()
+    terms = []
     for perm in permutations(cols):
         entries = [mat[r - 1][c - 1] for r, c in zip(rows, perm)]
         if all(entries):
-            term = power_product([(f, 1) for f in entries])
             odd = sum(a > b for a, b in combinations(perm, 2)) % 2
-            det = det - term if odd else det + term
-    return det
+            terms.append((-1 if odd else 1, [(f, 1) for f in entries]))
+    return product_sum(terms)
+
+
+# n! for n < 64, the exponents a norm meets in practice; larger ones are
+# computed
+_FACTORIALS = tuple(math.factorial(n) for n in range(64))
 
 
 def bargmann_inner(p: ExactPoly, q: ExactPoly) -> int:
@@ -484,7 +363,18 @@ def bargmann_inner(p: ExactPoly, q: ExactPoly) -> int:
 
     Monomials are orthogonal with factorial norms, <v^a, v^b> = delta_ab a!
     per variable; coefficients are integers so conjugation is the identity.
+    A polynomial paired with itself is its norm squared, sum c^2 prod e!,
+    in one pass over its terms.
     """
+    if p is q:
+        fact = _FACTORIALS
+        total = 0
+        for m, c in p.terms.items():
+            w = c * c
+            for _, e in m:
+                w *= fact[e] if e < 64 else math.factorial(e)
+            total += w
+        return total
     if len(p.terms) > len(q.terms):
         p, q = q, p
     total = 0

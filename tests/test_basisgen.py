@@ -26,6 +26,7 @@ from gtboson.gelfand import (
     GelfandPattern,
     IrrepLabel,
     enumerate_patterns,
+    lr_exponents,
     pattern_phi,
     semimax_pattern,
     weight,
@@ -37,6 +38,7 @@ from gtboson.oracles import (
     u3_basis_hypergeometric,
     u4_free_index_count,
 )
+from gtboson.packed import PackedLayout
 from gtboson.polyengine import (
     ExactPoly,
     bargmann_inner,
@@ -47,6 +49,14 @@ from gtboson.polyengine import (
 
 def zp(r, c):
     return ExactPoly.variable(("z", 0, r, c))
+
+
+def patterns_up_to(n, h1, last=None):
+    """Every pattern of every U(n) label with entries <= h1 (and last
+    entry `last`, when given), label by label."""
+    for h in itertools.combinations_with_replacement(range(h1, -1, -1), n):
+        if last is None or h[-1] == last:
+            yield from enumerate_patterns(IrrepLabel(h))
 
 
 def branching_ratio(label, row):
@@ -116,11 +126,14 @@ class TestU3Basis:
         assert b.norm_sq == 2
 
     def test_closed_equals_oracle(self):
-        for h in [(2, 1, 0), (2, 2, 1), (3, 1, 0)]:
-            for p in enumerate_patterns(IrrepLabel(h)):
-                a, c = basis_from_branching(p), u3_basis_closed(p)
-                assert a.poly == c.poly and a.norm_sq == c.norm_sq
-                assert a.norm_sq == norm_sq_u3(p)
+        # every U(3) pattern with h1 <= 4, term by term and in norm
+        count = 0
+        for p in patterns_up_to(3, 4):
+            a, c = basis_from_branching(p), u3_basis_closed(p)
+            assert a.poly.terms == c.poly.terms, p
+            assert a.norm_sq == c.norm_sq == norm_sq_u3(p), p
+            count += 1
+        assert count == 294
 
     def test_max_pattern_is_single_product(self):
         b = u3_basis_closed([[2, 1, 0], [2, 1], [2]])
@@ -176,10 +189,31 @@ class TestU4Basis:
         assert b.poly == minor(z, (1,), (1,)) * minor(z, (1, 2), (1, 2))
 
     def test_closed_equals_oracle(self):
-        for h in [(1, 1, 0, 0), (2, 1, 0, 0)]:
-            for p in enumerate_patterns(IrrepLabel(h)):
-                a, c = basis_from_branching(p), u4_basis_closed(p)
-                assert a.poly == c.poly and a.norm_sq == c.norm_sq
+        # the 2,099 patterns of the 34 nonzero labels with h1 <= 4 and
+        # h4 = 0 (the basis-u4 benchmark's), and the trivial one, term by
+        # term and in norm
+        count = 0
+        for p in patterns_up_to(4, 4, last=0):
+            a, c = basis_from_branching(p), u4_basis_closed(p)
+            assert a.poly.terms == c.poly.terms, p
+            assert a.norm_sq == c.norm_sq, p
+            count += 1
+        assert count == 2_099 + 1
+
+    def test_one_layout_per_call(self, monkeypatch):
+        # the whole five-index sum is expanded on one packed layout
+        p = GelfandPattern([[4, 3, 1, 0], [3, 2, 0], [2, 1], [2]])
+        assert len(list(_u4_indices(lr_exponents(p)))) > 1
+        expect = u4_basis_closed(p)
+        built = []
+        init = PackedLayout.__init__
+
+        def counted(self, bounds):
+            built.append(bounds)
+            init(self, bounds)
+
+        monkeypatch.setattr(PackedLayout, "__init__", counted)
+        assert u4_basis_closed(p) == expect and len(built) == 1
 
     def test_five_free_indices(self):
         # on [2,1,1,0] R_{4,2} = 0 for every pattern, so the free index g of
@@ -246,17 +280,39 @@ class TestBranchingKernel:
 
 
 class TestSignConvention:
+    """The theorem in `_finish`'s docstring: every route leads with a
+    positive term, with no sign search (35 U(2), 294 U(3) and 2,772 U(4)
+    patterns with h1 <= 4)."""
+
+    COUNTS = {2: 35, 3: 294, 4: 2_772}
+
     def test_kernel_coefficients_lead_with_a_positive_term(self):
-        # the theorem in `_finish`'s docstring: its sign flip never fires on
-        # a kernel coefficient (35 U(2), 294 U(3) and 2,772 U(4) patterns)
+        for n, expect in self.COUNTS.items():
+            count = 0
+            for p in patterns_up_to(n, 4):
+                assert _branch_poly(p).leading_coefficient() > 0, p
+                count += 1
+            assert count == expect
+
+    @pytest.mark.parametrize("n, closed", [(2, u2_basis_closed),
+                                           (3, u3_basis_closed),
+                                           (4, u4_basis_closed)])
+    def test_closed_forms_lead_with_a_positive_term(self, n, closed):
         count = 0
-        for n in (2, 3, 4):
-            for h in itertools.combinations_with_replacement(range(4, -1, -1),
-                                                             n):
-                for p in enumerate_patterns(IrrepLabel(h)):
-                    assert _branch_poly(p).leading_coefficient() > 0, p
-                    count += 1
-        assert count == 35 + 294 + 2_772
+        for p in patterns_up_to(n, 4):
+            assert closed(p).poly.leading_coefficient() > 0, p
+            count += 1
+        assert count == self.COUNTS[n]
+
+    def test_hypergeometric_form_leads_with_a_positive_term(self):
+        # its domain, h33 = 0 and h11 >= h23, holds 126 of the 294 patterns
+        count = 0
+        for p in patterns_up_to(3, 4, last=0):
+            if p.entry(1, 1) >= p.entry(2, 3):
+                hyper = u3_basis_hypergeometric(p)
+                assert hyper.poly.leading_coefficient() > 0, p
+                count += 1
+        assert count == 126
 
 
 class TestSemimaxNorms:

@@ -700,3 +700,23 @@ class TestIsoscalars:
             su3_isoscalar(((2, 1, 0),) * 3, ((3, 0), (2, 0), (2, 0)), 1)
         with pytest.raises(TypeError):
             su3_isoscalar(((2, 1, 0),) * 3, ((1.5, 0), (1, 0), (1, 1)), 1)
+
+    @pytest.mark.parametrize("labels, rows, message", [
+        (((6, 3, 0),) * 3, ((7, 0), (3, 0), (3, 0)),
+         r"row \(7, 0\) violates branching under \[6, 3, 0\]: "
+         r"h\[1,3\]=6 >= h\[1,2\]=7 >= h\[2,3\]=3"),
+        (((2, 1, 0),) * 3, ((2, 0), (2, 0), (2, 2)),
+         r"row \(2, 2\) violates branching under \[2, 1, 0\]"),
+        (((2, 1),) * 3, ((2, 0),) * 3, r"three U\(3\) labels"),
+        (((2, 1, 0),) * 2, ((2, 0),) * 3, r"three U\(3\) labels"),
+        (((2, 1, 0),) * 4, ((2, 0),) * 3, r"three U\(3\) labels")])
+    def test_inputs_are_refused_before_the_table_is_built(
+            self, monkeypatch, labels, rows, message):
+        # a bad row under 6,3,0 used to be refused only after the 4.9 s
+        # build of the 28*28*28 table
+        def build(*args):
+            raise AssertionError("table build started")
+
+        monkeypatch.setattr(coupling, "_table_cached", build)
+        with pytest.raises(DomainError, match=message):
+            su3_isoscalar(labels, rows, 1)

@@ -7,6 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtboson.basisgen import _branch_family, branching_kernel
+from gtboson.packed import (
+    PackedLayout,
+    packed_power_product,
+    packed_product_sum,
+)
 from gtboson.polyengine import (
     ExactPoly,
     SqrtRational,
@@ -14,8 +19,8 @@ from gtboson.polyengine import (
     minor,
     mono_from_map,
     mono_text,
-    packed_power_product,
     power_product,
+    product_sum,
     squarefree_split,
     symbolic_matrix,
     xvar,
@@ -277,6 +282,65 @@ class TestPowerProduct:
         assert layout.pack(((zvar(1, 1), 256),)) is None
         assert layout.pack(((zvar(1, 1), 4),)) is None
         assert layout.pack(((zvar(2, 2), 1),)) is None
+
+
+# weighted sums of products of powers, as (c, [(f, e), ...]) terms
+_sums = st.lists(st.tuples(st.integers(-3, 3),
+                           st.lists(st.tuples(small_polys, st.integers(0, 3)),
+                                    max_size=3)), max_size=4)
+
+
+class TestProductSum:
+    @given(_sums, st.booleans())
+    @settings(deadline=None)
+    def test_equals_the_sum_of_power_products(self, terms, cancel):
+        # zero weights, zero factors and the empty sum included; with
+        # `cancel`, the first term comes back negated and the two cancel
+        if cancel and terms:
+            terms = terms + [(-terms[0][0], terms[0][1])]
+        expect = ExactPoly()
+        for c, factors in terms:
+            expect = expect + c * power_product(factors)
+        got = product_sum(terms)
+        assert got == expect and got.text() == expect.text()
+
+    def test_empty_and_cancelling_sums_are_zero(self):
+        f = zp(1, 1) + zp(1, 2)
+        assert product_sum([]).is_zero()
+        assert product_sum([(2, [(f, 3)]), (-2, [(f, 1), (f, 2)])]).is_zero()
+        assert product_sum([(0, [(f, 1)])]).is_zero()
+        assert product_sum([(-3, [])]) == -3
+
+    def test_a_term_exactly_at_a_field_bound(self):
+        # the layout holds the largest exponent over the terms, not their
+        # sum: 255 fits one byte, and the field does not wrap at it
+        x, y = zp(1, 1), zp(1, 2)
+        terms = [(1, [(x, 255)]), (2, [(x, 100), (x + y, 1)])]
+        layout, packed = packed_product_sum(terms)
+        assert layout.width == 8 and layout.bounds == (255, 1)
+        top = ((zvar(1, 1), 255),)
+        got = product_sum(terms)
+        assert got.coefficient(top) == 1 and len(got.terms) == 3
+        assert got == x ** 255 + 2 * x ** 101 + 2 * x ** 100 * y
+        # one more in the exponent needs a wider field
+        assert packed_product_sum([(1, [(x, 256)])])[0].width == 16
+
+    def test_one_layout_per_call(self, monkeypatch):
+        built = []
+        init = PackedLayout.__init__
+
+        def counted(self, bounds):
+            built.append(bounds)
+            init(self, bounds)
+
+        monkeypatch.setattr(PackedLayout, "__init__", counted)
+        z = symbolic_matrix(4)
+        det = minor(z, (1, 2, 3, 4), (1, 2, 3, 4))
+        assert len(det.terms) == 24 and len(built) == 1
+        built.clear()
+        f, g = zp(1, 1) + zp(2, 2), zp(1, 2) - zp(2, 1)
+        product_sum([(c, [(f, c), (g, 3 - c)]) for c in range(4)])
+        assert len(built) == 1
 
 
 class TestExtraction:

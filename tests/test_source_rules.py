@@ -15,7 +15,8 @@ import gtboson
 from gtboson import basisgen, coupling, gelfand, oracles, polyengine, racah
 
 SRC = pathlib.Path(gtboson.__file__).parent
-LIBRARY = ("__init__", "gelfand", "polyengine", "basisgen", "coupling")
+LIBRARY = ("__init__", "gelfand", "packed", "polyengine", "basisgen",
+           "coupling")
 ORACLE_MODULES = ("oracles", "racah")
 
 
