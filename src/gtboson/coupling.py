@@ -35,7 +35,6 @@ directly or summed in closed form over the fifteen-index linear system.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from collections.abc import Sequence
@@ -122,28 +121,32 @@ def _pattern_to_tjm(p) -> tuple[int, int]:
     return h12 - h22, 2 * h11 - h12 - h22
 
 
-def _threej_core(tjm: Sequence[tuple[int, int]]) -> SqrtRational:
-    """3-j symbol from the coefficient of the generating function
-    xi23^p1 xi13^p2 xi12^p3, phase convention of Condon-Shortley (verified
-    against the factorial-sum oracle in `gtboson.oracles`).  Every selection
-    rule (m sum, integer J, triangle) shows as a zero coefficient."""
+def _threej_parts(tjm: Sequence[tuple[int, int]]) -> tuple[int, int, int]:
+    """3-j symbol of doubled (2j, 2m) pairs as integers (c, num, den), with
+    3-j = c * sqrt(num/den), from the coefficient c of the generating
+    function xi23^p1 xi13^p2 xi12^p3, phase convention of Condon-Shortley
+    (verified against the factorial-sum oracle in `gtboson.oracles`).
+    Every selection rule (m sum, integer J, triangle) shows as c = 0, and
+    then num = den = 1."""
     tJ = sum(tj for tj, _ in tjm)
     p = [(tJ - 2 * tj) // 2 for tj, _ in tjm]
     xy = [((tj - tm) // 2, (tj + tm) // 2) for tj, tm in tjm]
     c = _xi_coefficient(p, xy)
     if not c:
-        return SqrtRational.zero()
+        return 0, 1, 1
     if p[1] % 2:
         c = -c
     num = math.prod(_fact(a) * _fact(b) for a, b in xy)
     den = _fact(tJ // 2 + 1) * math.prod(_fact(v) for v in p)
-    return SqrtRational(c, Fraction(num, den))
+    return c, num, den
 
 
 def su2_threej(pat1, pat2, pat3) -> SqrtRational:
     """3-j symbol of three SU(2) patterns (zero on any selection-rule
     violation)."""
-    return _threej_core([_pattern_to_tjm(p) for p in (pat1, pat2, pat3)])
+    c, num, den = _threej_parts([_pattern_to_tjm(p)
+                                 for p in (pat1, pat2, pat3)])
+    return SqrtRational(c, Fraction(num, den))
 
 
 # ---------------------------------------------------------------------------
@@ -505,11 +508,17 @@ def su3_isoscalar(labels, su2_rows, rho: int = 1) -> SqrtRational:
     `su2_rows` is the triple of middle rows [h12, h22] (one per slot),
     checked once, before the table is built: StructureError unless there
     are three rows of two entries, DomainError unless there are three U(3)
-    labels or for a row that does not branch from its label.  Every bottom
-    row is then scanned on the checked integers, and the ratios must
-    agree.  If every SU(2) factor vanishes, the isoscalar is undefined and
-    IsoscalarUndefined is raised.  DomainError when the triple does not
-    couple or rho is outside 1..rho_count.
+    labels or for a row that does not branch from its label.  The scan then
+    visits, on the checked integers, only the bottom rows that keep the
+    3-j's m-sum rule m1 + m2 + m3 = 0 (b3 is fixed by b1 and b2; every
+    other row has a zero 3-j).  On each row whose 3-j c*sqrt(num/den)
+    (`_threej_parts`) is nonzero, the ratio entry / 3-j is kept as an exact
+    (sign, square) pair, since two reals are equal exactly when their signs
+    and squares are.  The pairs must agree (ConsistencyError otherwise),
+    and the one value is built from theirs.  If every SU(2) factor
+    vanishes, the isoscalar is undefined and IsoscalarUndefined is raised.
+    DomainError when the triple does not couple or rho is outside
+    1..rho_count.
     """
     labels = tuple(as_label(l) for l in labels)
     rows = [tuple(map(operator.index, r)) for r in su2_rows]
@@ -522,18 +531,38 @@ def su3_isoscalar(labels, su2_rows, rho: int = 1) -> SqrtRational:
         if broken is not None:
             raise DomainError(f"row {row} violates branching under "
                               f"{list(label.h)}: {broken}")
-    table = _table_at(labels, rho)
-    zero = SqrtRational.zero()
-    ratios: set[SqrtRational] = set()
-    for bots in itertools.product(*(range(h22, h12 + 1) for h12, h22 in rows)):
-        tj = _threej_core([(h12 - h22, 2 * b - h12 - h22)
-                           for (h12, h22), b in zip(rows, bots)])
-        if not tj.is_zero():
-            key = tuple((l.h, r, (b,)) for l, r, b in zip(labels, rows, bots))
-            ratios.add(table.entries.get(key + (rho,), zero) / tj)
-    if not ratios:
+    entries = _table_at(labels, rho).entries
+    (u1, l1), (u2, l2), (u3, l3) = rows
+    tag1, tag2, tag3 = ((l.h, r) for l, r in zip(labels, rows))
+    # the doubled m of bottom row b is 2b - h12 - h22, so the m-sum rule
+    # reads b1 + b2 + b3 = half, which an odd sum never meets
+    half, odd = divmod(u1 + l1 + u2 + l2 + u3 + l3, 2)
+    pair = None   # (sign, n, d): the ratio is sign * sqrt(n/d)
+    for b1 in () if odd else range(l1, u1 + 1):
+        for b2 in range(max(l2, half - b1 - u3), min(u2, half - b1 - l3) + 1):
+            b3 = half - b1 - b2
+            c, num, den = _threej_parts(((u1 - l1, 2 * b1 - u1 - l1),
+                                         (u2 - l2, 2 * b2 - u2 - l2),
+                                         (u3 - l3, 2 * b3 - u3 - l3)))
+            if not c:
+                continue
+            val = entries.get((tag1 + ((b1,),), tag2 + ((b2,),),
+                               tag3 + ((b3,),), rho))
+            if val is None:
+                cur = (0, 0, 1)
+            else:
+                # (q sqrt(r) / (c sqrt(num/den)))^2 = q^2 r den / (c^2 num)
+                q, r = val.q, val.r
+                cur = (val.sign() if c > 0 else -val.sign(),
+                       q.numerator ** 2 * r.numerator * den,
+                       q.denominator ** 2 * r.denominator * c * c * num)
+            if pair is None:
+                pair = cur
+            elif cur[0] != pair[0] or cur[1] * pair[2] != pair[1] * cur[2]:
+                raise ConsistencyError(
+                    "isoscalar ratio depends on the bottom row")
+    if pair is None:
         raise IsoscalarUndefined(
             f"every SU(2) factor vanishes for rows {rows} of {labels}")
-    if len(ratios) > 1:
-        raise ConsistencyError("isoscalar ratio depends on the bottom row")
-    return ratios.pop()
+    sign, n, d = pair
+    return SqrtRational(sign, Fraction(n, d))

@@ -206,9 +206,18 @@ def _completed_rows(rows: tuple) -> Iterator[tuple[tuple[int, ...], ...]]:
         yield from _completed_rows(rows + (nxt,))
 
 
+def _trusted_pattern(rows: tuple[tuple[int, ...], ...]) -> GelfandPattern:
+    """The pattern of rows that are valid by construction (a label's top
+    row and rows that interleave it); nothing is checked again."""
+    p = object.__new__(GelfandPattern)
+    object.__setattr__(p, "rows", rows)
+    return p
+
+
 def enumerate_patterns(label) -> list[GelfandPattern]:
     """All patterns with the given top row, in canonical order."""
-    return [GelfandPattern(r) for r in _completed_rows((as_label(label).h,))]
+    return [_trusted_pattern(r)
+            for r in _completed_rows((as_label(label).h,))]
 
 
 def weyl_dimension(label) -> int:

@@ -648,6 +648,78 @@ class TestIsoscalars:
         GelfandPattern([[1, 0], [1]])
         assert built == [[[1, 0], [1]]]
 
+    def test_equals_the_ratio_of_every_nonzero_row(self):
+        # every (middle rows, rho) of the 183 coupled triples over the ten
+        # labels of dimension <= 27 reads what the scan it replaced read:
+        # the SqrtRational ratio of the entry to su2_threej on every bottom
+        # row with a nonzero 3-j, one distinct ratio
+        threej = {}
+
+        def su2(tjm):
+            if tjm not in threej:
+                threej[tjm] = su2_threej(*(spin_pattern(tj, tm)
+                                           for tj, tm in tjm))
+            return threej[tjm]
+
+        reads = undefined = 0
+        for labels in itertools.product(_SU3_LABELS_UPTO_27, repeat=3):
+            if not coupling._k_family(labels):
+                continue
+            table = coupling_table(labels)
+            middles = [sorted({p.rows[1] for p in enumerate_patterns(h)})
+                       for h in labels]
+            for rows, rho in itertools.product(
+                    itertools.product(*middles),
+                    range(1, table.rho_count + 1)):
+                ratios = set()
+                for bots in itertools.product(*(range(lo, hi + 1)
+                                                for hi, lo in rows)):
+                    tj = su2(tuple((hi - lo, 2 * b - hi - lo)
+                                   for (hi, lo), b in zip(rows, bots)))
+                    if not tj.is_zero():
+                        key = tuple((h, r, (b,))
+                                    for h, r, b in zip(labels, rows, bots))
+                        ratios.add(table.entries.get(
+                            key + (rho,), SqrtRational.zero()) / tj)
+                assert len(ratios) <= 1, (labels, rows, rho)
+                reads += 1
+                if ratios:
+                    assert su3_isoscalar(labels, rows, rho) == ratios.pop()
+                else:
+                    undefined += 1
+                    with pytest.raises(IsoscalarUndefined):
+                        su3_isoscalar(labels, rows, rho)
+        assert (reads, undefined) == (23030, 14195)
+
+    def test_the_3j_is_read_once_on_each_balanced_row(self, monkeypatch):
+        # the scan evaluates the 3-j parts on the bottom rows whose doubled
+        # m sum to zero, each once, and on no other row
+        seen = []
+        parts = coupling._threej_parts
+
+        def counted(tjm):
+            seen.append(tuple(tjm))
+            return parts(tjm)
+
+        monkeypatch.setattr(coupling, "_threej_parts", counted)
+        for t in _ISOSCALAR_TRIPLES:
+            if not coupling_table(t).rho_count:
+                continue
+            middles = [sorted({p.rows[1] for p in enumerate_patterns(h)})
+                       for h in t]
+            for rows in itertools.product(*middles):
+                balanced = [
+                    tjm for tjm in itertools.product(*(
+                        [(hi - lo, 2 * b - hi - lo) for b in range(lo, hi + 1)]
+                        for hi, lo in rows))
+                    if sum(tm for _, tm in tjm) == 0]
+                seen.clear()
+                try:
+                    su3_isoscalar(t, rows, 1)
+                except IsoscalarUndefined:
+                    pass
+                assert seen == balanced, (t, rows)
+
     @pytest.mark.parametrize("rows, lengths", [
         (((2, 0),) * 4, "[2, 2, 2, 2]"), (((2, 0, 0), (2, 0), (2, 0)),
                                           "[3, 2, 2]"),
@@ -670,7 +742,7 @@ class TestIsoscalars:
         assert v.squared() == Fraction(2, 3)
 
     def test_bottom_row_independence_is_checked(self):
-        # the call itself scans every bottom-row combination
+        # the call itself scans every m-balanced bottom-row combination
         labels = ((2, 1, 0), (2, 1, 0), (2, 1, 0))
         v1 = su3_isoscalar(labels, ((2, 0), (2, 0), (2, 0)), 1)
         v2 = su3_isoscalar(labels, ((2, 0), (2, 0), (2, 0)), 2)
@@ -685,9 +757,11 @@ class TestIsoscalars:
             su3_isoscalar(labels, ((2, 1), (2, 1), (1, 0)), 1)
 
     def test_bottom_row_dependence_is_a_consistency_error(self, monkeypatch):
+        # a 3-j of 1, 2, 3, ... on successive rows makes the ratio depend on
+        # the bottom row
         calls = iter(range(1, 100))
-        monkeypatch.setattr(coupling, "_threej_core",
-                            lambda tjm: SqrtRational(next(calls)))
+        monkeypatch.setattr(coupling, "_threej_parts",
+                            lambda tjm: (next(calls), 1, 1))
         with pytest.raises(ConsistencyError):
             su3_isoscalar(((2, 1, 0),) * 3, ((2, 0), (2, 0), (2, 0)), 1)
 

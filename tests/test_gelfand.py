@@ -96,6 +96,22 @@ class TestEnumeration:
             label = IrrepLabel(h)
             assert len(enumerate_patterns(label)) == weyl_dimension(label)
 
+    def test_unchecked_rows_equal_the_checked_patterns(self):
+        # enumeration skips the constructor's checks on the rows it
+        # generates; the result must be what the checks would build, over
+        # 31,420 patterns of the 251 labels with h1 <= 4 and n <= 5
+        count = 0
+        for n in range(1, 6):
+            for h in itertools.combinations_with_replacement(range(4, -1, -1),
+                                                             n):
+                pats = enumerate_patterns(h)
+                checked = [GelfandPattern(p.rows) for p in pats]
+                assert pats == checked, h
+                assert list(map(hash, pats)) == list(map(hash, checked)), h
+                assert len(set(pats)) == weyl_dimension(h), h
+                count += len(pats)
+        assert count == 31420
+
     def test_weyl_examples(self):
         assert weyl_dimension([1, 0, 0]) == 3
         assert weyl_dimension([2, 1, 0]) == 8
