@@ -13,8 +13,6 @@ from .gelfand import (
     enumerate_patterns,
     lr_exponents,
     pattern_phi,
-    semimax_pattern,
-    validate_pattern,
     weight,
     weyl_dimension,
 )
@@ -28,13 +26,7 @@ from .polyengine import (
 from .basisgen import (
     BasisPolynomial,
     basis_from_branching,
-    branching_kernel,
-    const_A,
-    norm_sq_semimax,
-    norm_sq_u2,
-    norm_sq_u3,
     p_n_1,
-    u2_basis_closed,
     u3_basis_closed,
     u4_basis_closed,
 )

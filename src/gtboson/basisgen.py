@@ -1,4 +1,4 @@
-"""Boson polynomial bases of U(2), U(3), U(4) and their normalizations.
+"""Boson polynomial bases of U(2), U(3), U(4) with their norms.
 
 The generic construction expands a branching kernel, a finite product of
 mixed minor/parameter groups, and reads off the coefficient of the lower
@@ -13,8 +13,9 @@ sum of products of minors, expanded on one packed layout
 Every route ends in `_finish`, which adds the norm squared in one pass over
 the terms; no sign is searched for, because every route's highest term is
 positive by construction.  Basis polynomials have integer coefficients and
-carry their integer norm squared, never a square root; the closed-form
-normalization constants are exact rationals.
+carry their integer norm squared, never a square root.  The closed-form
+norms, the U(2) form and the whole kernel polynomial are test oracles
+(`gtboson.oracles`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from fractions import Fraction
 from functools import lru_cache
 
 from .gelfand import (
@@ -32,7 +32,6 @@ from .gelfand import (
     LRExponents,
     _broken_betweenness,
     _phi_bits,
-    as_label,
     as_pattern,
     lr_exponents,
     pattern_phi,
@@ -44,7 +43,6 @@ from .polyengine import (
     _Frozen,
     bargmann_inner,
     minor,
-    power_product,
     product_sum,
     symbolic_matrix,
     zvar,
@@ -52,16 +50,9 @@ from .polyengine import (
 
 __all__ = [
     "BasisPolynomial",
-    "const_A",
-    "branching_kernel",
     "basis_from_branching",
-    "u2_basis_closed",
     "u3_basis_closed",
     "u4_basis_closed",
-    "norm_sq_u2",
-    "norm_sq_u3",
-    "norm_sq_semimax",
-    "norm_sq_max",
     "p_n_1",
 ]
 
@@ -101,97 +92,12 @@ class BasisPolynomial(_Frozen):
         return b
 
 
-def const_A(label) -> Fraction:
-    """Kernel constant of a label: (prod_j p_j!) / (prod_{i<j} (p_i - p_j))
-    with p_j = h_j + n - j."""
-    label = as_label(label)
-    n = label.n
-    p = [label.h[j] + n - (j + 1) for j in range(n)]
-    num = 1
-    for pj in p:
-        num *= _fact(pj)
-    den = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            den *= p[i] - p[j]
-    return Fraction(num, den)
-
-
 def _check_branching(label: IrrepLabel, branch: IrrepLabel) -> None:
     if branch.n != label.n - 1:
         raise DomainError("branch label must have size n-1")
     broken = _broken_betweenness((label.h, branch.h))
     if broken is not None:
         raise DomainError(f"branching violated: {broken}")
-
-
-def norm_sq_semimax(label, branch) -> Fraction:
-    """Exact Bargmann norm squared of the unnormalized semi-maximal
-    polynomial (principal minors to the interleaving powers, last-column
-    minors to the drop powers).
-
-    Closed form: prod_j p_{j,n}! * prod_{i<j<=n} (p'_i - p_j)!/(p_i - p_j)!
-    * prod_{i<=j<=n-1} (p_i - p'_j - 1)! / prod_{i<j<=n-1} (p'_i - p'_j)!
-    with p_j = h_j + n - j and p'_i = h'_i + n - 1 - i.
-    """
-    label = as_label(label)
-    branch = as_label(branch)
-    _check_branching(label, branch)
-    n = label.n
-    p = [label.h[j] + n - (j + 1) for j in range(n)]
-    pp = [branch.h[i] + (n - 1) - (i + 1) for i in range(n - 1)]
-    out = Fraction(1)
-    for pj in p:
-        out *= _fact(pj)
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            out *= Fraction(_fact(pp[i] - p[j]), _fact(p[i] - p[j]))
-    for i in range(n - 1):
-        for j in range(i, n - 1):
-            out *= _fact(p[i] - pp[j] - 1)
-    for i in range(n - 1):
-        for j in range(i + 1, n - 1):
-            out /= _fact(pp[i] - pp[j])
-    return out
-
-
-def norm_sq_max(label) -> Fraction:
-    """Norm squared of the highest-weight polynomial (principal minor powers)."""
-    label = as_label(label)
-    n = label.n
-    if n == 1:
-        return Fraction(_fact(label.h[0]))
-    return norm_sq_semimax(label, IrrepLabel(label.h[: n - 1]))
-
-
-def norm_sq_u2(pattern) -> Fraction:
-    """Norm squared of the unnormalized U(2) polynomial
-    D1^(h11-h22) D2^(h12-h11) D12^(h22)."""
-    p = as_pattern(pattern)
-    if p.n != 2:
-        raise DomainError("norm_sq_u2 requires a U(2) pattern")
-    h12, h22 = p.row(2)
-    h11 = p.row(1)[0]
-    return Fraction(
-        _fact(h11 - h22) * _fact(h12 - h11) * _fact(h12 + 1) * _fact(h22),
-        _fact(h12 - h22 + 1))
-
-
-def norm_sq_u3(pattern) -> Fraction:
-    """Closed-form norm squared of the binomial-sum U(3) polynomial, for any
-    valid U(3) pattern.
-
-    Follows from the kernel normalization chain: the semi-maximal norm times
-    the norm of the highest-weight polynomial of the middle row's label,
-    divided by the norm of the embedded U(2) polynomial.
-    """
-    p = as_pattern(pattern)
-    if p.n != 3:
-        raise DomainError("norm_sq_u3 requires a U(3) pattern")
-    top = IrrepLabel(p.row(3))
-    mid = IrrepLabel(p.row(2))
-    return (norm_sq_semimax(top, mid) * norm_sq_max(mid)
-            / norm_sq_u2(p.lower()))
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +158,6 @@ def _kernel_factors(label: IrrepLabel,
             + [(gx[n], h[n - 1])])
 
 
-def branching_kernel(label, branch) -> ExactPoly:
-    """Branching kernel of U(n) over U(n-1) for a label pair
-    (`_kernel_factors`), as a polynomial in the z entries and the level
-    <= n-1 parameters x(.,.), y(.,.)."""
-    return power_product(_kernel_factors(as_label(label), as_label(branch)))
-
-
 @lru_cache(maxsize=None)
 def _branch_family(top: tuple[int, ...],
                    row: tuple[int, ...]) -> dict[Monomial, ExactPoly]:
@@ -295,9 +194,9 @@ def _finish(p: GelfandPattern, poly: ExactPoly) -> BasisPolynomial:
     """The basis polynomial of p with its Bargmann norm squared.
 
     Its highest monomial is positive with no search: every route that gets
-    here (`_branch_poly`, the closed U(2)-U(4) forms, the hypergeometric
-    oracle) sums, with positive weights, products of minors on rows 1..k
-    (z11^h for n = 1).  The highest term of the minor on columns
+    here (`_branch_poly`, the closed U(3) and U(4) forms, the U(2) and
+    hypergeometric oracles) sums, with positive weights, products of minors
+    on rows 1..k (z11^h for n = 1).  The highest term of the minor on columns
     c1 < ... < ck is its diagonal z[1,c1]...z[k,ck], with coefficient +1,
     and `_mono_order` is lexicographic, a monomial order, so the highest
     term of a product is the product of the highest terms and no highest
@@ -314,19 +213,6 @@ def basis_from_branching(pattern) -> BasisPolynomial:
     if p.n > 4:
         raise DomainError("basis construction is implemented for n <= 4")
     return _finish(p, _branch_poly(p))
-
-
-def u2_basis_closed(pattern) -> BasisPolynomial:
-    """U(2) closed form: D1^(h11-h22) D2^(h12-h11) D12^(h22)."""
-    p = as_pattern(pattern)
-    if p.n != 2:
-        raise DomainError("u2_basis_closed requires a U(2) pattern")
-    h12, h22 = p.row(2)
-    h11 = p.row(1)[0]
-    d = _upper_minors(2)
-    poly = power_product([(d[(1,)], h11 - h22), (d[(2,)], h12 - h11),
-                          (d[1, 2], h22)])
-    return _finish(p, poly)
 
 
 def u3_basis_closed(pattern) -> BasisPolynomial:

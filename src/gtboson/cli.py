@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from collections.abc import Iterable
 from fractions import Fraction
@@ -57,12 +58,28 @@ class _UsageError(Exception):
     """Malformed input text, config value or output path (exit code 2)."""
 
 
+# The number tokens: ASCII digits with an optional sign, and for spins also
+# halves written n/2 or n.5.  `int` and `Fraction` alone would also read
+# underscores, non-ASCII digits, exponents and surrounding spaces.
+_TOKENS = {int: re.compile(r"[+-]?[0-9]+"),
+           Fraction: re.compile(r"[+-]?[0-9]+(?:/2|\.5)?")}
+
+
 def _numbers(text: str, kind=int) -> list:
-    """Comma-separated numbers; malformed text is a usage error."""
-    try:
-        return [kind(v) for v in text.split(",")]
-    except (ValueError, ZeroDivisionError):
-        raise _UsageError(f"malformed number list {text!r}") from None
+    """Comma-separated numbers of `kind` (int, or Fraction for spins); any
+    other token makes the text a usage error."""
+    tokens = text.split(",")
+    if not all(map(_TOKENS[kind].fullmatch, tokens)):
+        raise _UsageError(f"malformed number list {text!r}")
+    return list(map(kind, tokens))
+
+
+def _integer(text: str) -> int:
+    """One integer token by the rule of `_numbers` (the type of
+    `isoscalar --rho`); argparse passes a usage error through."""
+    if not _TOKENS[int].fullmatch(text):
+        raise _UsageError(f"malformed number list {text!r}")
+    return int(text)
 
 
 def _parse_label(text: str, group: str | None = None) -> IrrepLabel:
@@ -294,7 +311,7 @@ _COMMANDS = {
                   {"--labels": dict(required=True),
                    "--rows": dict(required=True, help="three middle rows, "
                                   "e.g. '1,0;1,0;1,1'"),
-                   "--rho": dict(type=int, default=1)},
+                   "--rho": dict(type=_integer, default=1)},
                   False, _cmd_isoscalar),
     "selftest": ("run the verification suites",
                  {"--suite": dict(action="append", choices=_SUITES,

@@ -27,11 +27,9 @@ __all__ = [
     "IrrepLabel",
     "GelfandPattern",
     "LRExponents",
-    "validate_pattern",
     "enumerate_patterns",
     "weyl_dimension",
     "weight",
-    "semimax_pattern",
     "lr_exponents",
     "pattern_phi",
     "patterns_of",
@@ -134,9 +132,6 @@ class GelfandPattern(_Frozen):
             raise StructureError("U(1) pattern has no lower pattern")
         return GelfandPattern(self.rows[1:])
 
-    def label(self) -> IrrepLabel:
-        return IrrepLabel(self.top)
-
     def to_json(self) -> dict:
         return {"n": self.n, "rows": [list(r) for r in self.rows]}
 
@@ -178,15 +173,6 @@ def _broken_betweenness(rows: tuple[tuple[int, ...], ...]) -> str | None:
                 return (f"h[{i + 1},{k}]={upper[i]} >= h[{i + 1},{k - 1}]={v} "
                         f">= h[{i + 2},{k}]={upper[i + 1]}")
     return None
-
-
-def validate_pattern(p) -> bool:
-    """True iff the rows build a pattern (a malformed triangle raises)."""
-    try:
-        as_pattern(p)
-    except DomainError:
-        return False
-    return True
 
 
 def _branch_rows(upper: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -242,15 +228,6 @@ def weight(p) -> tuple[int, ...]:
     p = as_pattern(p)
     sums = [0] + [sum(p.row(k)) for k in range(1, p.n + 1)]
     return tuple(sums[i] - sums[i - 1] for i in range(1, p.n + 1))
-
-
-def semimax_pattern(label, sub) -> GelfandPattern:
-    """Pattern with prescribed row n-1 and maximal filling below it."""
-    label = as_label(label)
-    sub = as_label(sub)
-    if sub.n != label.n - 1:
-        raise StructureError("semimax branch must have size n-1")
-    return GelfandPattern([label.h] + [sub.h[:k] for k in range(sub.n, 0, -1)])
 
 
 class LRExponents(_Frozen):

@@ -4,9 +4,11 @@ The library has one production route per quantity.  Each route here
 computes the same values another way: 3-j symbols by Racah's factorial sum
 (`gtboson.racah`, re-exported here), raw SU(3) Wigner coefficients from the
 invariants' parameter-space images (expanded directly, or by the
-three-summation formula over the fifteen-index linear system), the
-hypergeometric U(3) basis, and the evaluation factors by mirror expansion.
-Only the tests and the selftest suites import this module.
+three-summation formula over the fifteen-index linear system), SU(3)
+multiplicities from the Weyl character, the closed-form basis norms, the
+U(2) and hypergeometric U(3) bases, the whole branching kernel and the
+evaluation factors by mirror expansion.  Only the tests and the selftest
+suites import this module.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
@@ -21,22 +24,27 @@ from functools import lru_cache
 from .basisgen import (
     BasisPolynomial,
     _branch_family,
+    _check_branching,
     _finish,
+    _kernel_factors,
     _prefixes,
     _u4_indices,
     _upper_minors,
-    norm_sq_u3,
 )
-from .coupling import _k_family, _xi_coefficient
+from .coupling import _k_family, _su3_labels, _xi_coefficient
 from .gelfand import (
     ConsistencyError,
     DomainError,
     GelfandPattern,
+    IrrepLabel,
+    StructureError,
     _phi_bits,
     as_label,
     as_pattern,
     lr_exponents,
     pattern_phi,
+    patterns_of,
+    weight,
 )
 from .polyengine import (
     ExactPoly,
@@ -61,6 +69,15 @@ __all__ = [
     "index_solutions_closed",
     "su3_wigner_generating",
     "su3_wigner_secondary",
+    "su3_multiplicity_character",
+    "const_A",
+    "norm_sq_semimax",
+    "norm_sq_max",
+    "norm_sq_u2",
+    "norm_sq_u3",
+    "semimax_pattern",
+    "u2_basis_closed",
+    "branching_kernel",
     "u3_basis_hypergeometric",
     "norm_sq_u3_hypergeometric",
     "p_n_1_oracle",
@@ -410,6 +427,148 @@ def su3_wigner_generating(labels, patterns, rho: int = 1) -> Fraction:
     mono = tuple(sorted(itertools.chain.from_iterable(
         pattern_phi(p, slot) for slot, p in enumerate(pats, 1))))
     return inv.coefficient(mono)
+
+
+def su3_multiplicity_character(labels) -> int:
+    """Number of SU(3) invariants in the product of three U(3) irreps, from
+    their weights alone: the multiplicity of det^(D/3) in
+    lambda1 x lambda2 x lambda3 (D the total degree), as the alternating sum
+    over S3 of the product's weight multiplicities at
+    w(lambda + delta) - delta, with lambda = (D/3)^3 and delta = (2, 1, 0).
+    No invariant and no basis polynomial is built."""
+    labels = _su3_labels(labels)
+    degree = sum(sum(l.h) for l in labels)
+    if degree % 3:
+        return 0
+    w1, w2, w3 = (Counter(map(weight, patterns_of(l))) for l in labels)
+    shifted = [degree // 3 + d for d in (2, 1, 0)]  # lambda + delta
+    out = 0
+    for perm in itertools.permutations(range(3)):
+        mu = [shifted[i] - d for i, d in zip(perm, (2, 1, 0))]
+        mult = sum(c1 * c2 * w3[tuple(m - a - b for m, a, b in zip(mu, x, y))]
+                   for x, c1 in w1.items() for y, c2 in w2.items())
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        out += (-1) ** inversions * mult
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Bases: closed-form norms, the U(2) form and the whole branching kernel.
+# ---------------------------------------------------------------------------
+
+
+def const_A(label) -> Fraction:
+    """Kernel constant of a label: (prod_j p_j!) / (prod_{i<j} (p_i - p_j))
+    with p_j = h_j + n - j."""
+    label = as_label(label)
+    n = label.n
+    p = [label.h[j] + n - (j + 1) for j in range(n)]
+    num = 1
+    for pj in p:
+        num *= _fact(pj)
+    den = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            den *= p[i] - p[j]
+    return Fraction(num, den)
+
+
+def norm_sq_semimax(label, branch) -> Fraction:
+    """Exact Bargmann norm squared of the unnormalized semi-maximal
+    polynomial (principal minors to the interleaving powers, last-column
+    minors to the drop powers).
+
+    Closed form: prod_j p_{j,n}! * prod_{i<j<=n} (p'_i - p_j)!/(p_i - p_j)!
+    * prod_{i<=j<=n-1} (p_i - p'_j - 1)! / prod_{i<j<=n-1} (p'_i - p'_j)!
+    with p_j = h_j + n - j and p'_i = h'_i + n - 1 - i.
+    """
+    label = as_label(label)
+    branch = as_label(branch)
+    _check_branching(label, branch)
+    n = label.n
+    p = [label.h[j] + n - (j + 1) for j in range(n)]
+    pp = [branch.h[i] + (n - 1) - (i + 1) for i in range(n - 1)]
+    out = Fraction(1)
+    for pj in p:
+        out *= _fact(pj)
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            out *= Fraction(_fact(pp[i] - p[j]), _fact(p[i] - p[j]))
+    for i in range(n - 1):
+        for j in range(i, n - 1):
+            out *= _fact(p[i] - pp[j] - 1)
+    for i in range(n - 1):
+        for j in range(i + 1, n - 1):
+            out /= _fact(pp[i] - pp[j])
+    return out
+
+
+def norm_sq_max(label) -> Fraction:
+    """Norm squared of the highest-weight polynomial (principal minor powers)."""
+    label = as_label(label)
+    n = label.n
+    if n == 1:
+        return Fraction(_fact(label.h[0]))
+    return norm_sq_semimax(label, IrrepLabel(label.h[: n - 1]))
+
+
+def norm_sq_u2(pattern) -> Fraction:
+    """Norm squared of the unnormalized U(2) polynomial
+    D1^(h11-h22) D2^(h12-h11) D12^(h22)."""
+    p = as_pattern(pattern)
+    if p.n != 2:
+        raise DomainError("norm_sq_u2 requires a U(2) pattern")
+    h12, h22 = p.row(2)
+    h11 = p.row(1)[0]
+    return Fraction(
+        _fact(h11 - h22) * _fact(h12 - h11) * _fact(h12 + 1) * _fact(h22),
+        _fact(h12 - h22 + 1))
+
+
+def norm_sq_u3(pattern) -> Fraction:
+    """Closed-form norm squared of the binomial-sum U(3) polynomial, for any
+    valid U(3) pattern.
+
+    Follows from the kernel normalization chain: the semi-maximal norm times
+    the norm of the highest-weight polynomial of the middle row's label,
+    divided by the norm of the embedded U(2) polynomial.
+    """
+    p = as_pattern(pattern)
+    if p.n != 3:
+        raise DomainError("norm_sq_u3 requires a U(3) pattern")
+    top = IrrepLabel(p.row(3))
+    mid = IrrepLabel(p.row(2))
+    return (norm_sq_semimax(top, mid) * norm_sq_max(mid)
+            / norm_sq_u2(p.lower()))
+
+
+def semimax_pattern(label, sub) -> GelfandPattern:
+    """Pattern with prescribed row n-1 and maximal filling below it."""
+    label = as_label(label)
+    sub = as_label(sub)
+    if sub.n != label.n - 1:
+        raise StructureError("semimax branch must have size n-1")
+    return GelfandPattern([label.h] + [sub.h[:k] for k in range(sub.n, 0, -1)])
+
+
+def u2_basis_closed(pattern) -> BasisPolynomial:
+    """U(2) closed form: D1^(h11-h22) D2^(h12-h11) D12^(h22)."""
+    p = as_pattern(pattern)
+    if p.n != 2:
+        raise DomainError("u2_basis_closed requires a U(2) pattern")
+    h12, h22 = p.row(2)
+    h11 = p.row(1)[0]
+    d = _upper_minors(2)
+    poly = power_product([(d[(1,)], h11 - h22), (d[(2,)], h12 - h11),
+                          (d[1, 2], h22)])
+    return _finish(p, poly)
+
+
+def branching_kernel(label, branch) -> ExactPoly:
+    """Branching kernel of U(n) over U(n-1) for a label pair
+    (`basisgen._kernel_factors`), as a polynomial in the z entries and the
+    level <= n-1 parameters x(.,.), y(.,.)."""
+    return power_product(_kernel_factors(as_label(label), as_label(branch)))
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,7 @@ def suite_orthonormality():
         for i, bi in enumerate(basis):
             yield (bargmann_inner(bi.poly, bi.poly) == bi.norm_sq
                    or f"stored norm at {bi.pattern!r}")
-            yield (bi.norm_sq == basisgen.norm_sq_u2(bi.pattern)
+            yield (bi.norm_sq == oracles.norm_sq_u2(bi.pattern)
                    or f"U(2) norm formula at {bi.pattern!r}")
             for bj in basis[i + 1:]:
                 yield (bargmann_inner(bi.poly, bj.poly) == 0
@@ -185,16 +185,16 @@ def suite_orthonormality():
     for label in _labels_upto(3, 3):
         basis = [basisgen.basis_from_branching(p) for p in patterns_of(label)]
         for i, bi in enumerate(basis):
-            yield (bi.norm_sq == basisgen.norm_sq_u3(bi.pattern)
+            yield (bi.norm_sq == oracles.norm_sq_u3(bi.pattern)
                    or f"U(3) norm formula at {bi.pattern!r}")
             for bj in basis[i + 1:]:
                 yield (bargmann_inner(bi.poly, bj.poly) == 0
                        or f"U(3) pair {bi.pattern!r}")
         # semi-maximal closed norm per branch
         for row2 in {p.row(label.n - 1) for p in patterns_of(label)}:
-            sm = gelfand.semimax_pattern(label, row2)
+            sm = oracles.semimax_pattern(label, row2)
             yield (basisgen.basis_from_branching(sm).norm_sq
-                   == basisgen.norm_sq_semimax(label, row2)
+                   == oracles.norm_sq_semimax(label, row2)
                    or f"semimax norm at {label!r}->{row2}")
 
 
@@ -483,7 +483,7 @@ def suite_kernel_identity():
                 continue
             # M / (a/d) = sum_b b(z) b(u) / N_b, both sides times a * lcm(N_b)
             label = IrrepLabel((h1, h2))
-            const = basisgen.const_A(label)
+            const = oracles.const_A(label)
             basis = [basisgen.basis_from_branching(p)
                      for p in patterns_of(label)]
             lcm = math.lcm(*(b.norm_sq for b in basis))

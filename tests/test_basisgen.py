@@ -9,14 +9,7 @@ from gtboson.basisgen import (
     _branch_poly,
     _u4_indices,
     basis_from_branching,
-    branching_kernel,
-    const_A,
-    norm_sq_max,
-    norm_sq_semimax,
-    norm_sq_u2,
-    norm_sq_u3,
     p_n_1,
-    u2_basis_closed,
     u3_basis_closed,
     u4_basis_closed,
 )
@@ -28,13 +21,20 @@ from gtboson.gelfand import (
     enumerate_patterns,
     lr_exponents,
     pattern_phi,
-    semimax_pattern,
     weight,
 )
 from gtboson.oracles import (
+    branching_kernel,
+    const_A,
     kernel_phi_support,
+    norm_sq_max,
+    norm_sq_semimax,
+    norm_sq_u2,
+    norm_sq_u3,
     norm_sq_u3_hypergeometric,
     p_n_1_oracle,
+    semimax_pattern,
+    u2_basis_closed,
     u3_basis_hypergeometric,
     u4_free_index_count,
 )

@@ -88,7 +88,7 @@ def test_patterns_text_streams_rows_without_pattern_objects(capsys,
     assert code == 0 and out == "pattern\n" + expect
 
 
-@pytest.mark.parametrize("j, m", [("1e6,1e6,0", "0,0,0"),
+@pytest.mark.parametrize("j, m", [("1000000,1000000,0", "0,0,0"),
                                   ("100,100,1", "0,0,0"),
                                   ("100.5,100,0", "0.5,0,0")])
 def test_threej_refuses_a_total_spin_over_the_limit(capsys, monkeypatch, j, m):
@@ -358,6 +358,16 @@ def test_config_undecodable_is_a_usage_error(tmp_path, capsys):
     ("threej", "--j", "1,1,1", "--m", "0,1/0,0"),
     ("su3cg", "--labels", "1,0,0;1,1,0;1,1,q"),
     ("isoscalar", "--labels", "1,0,0;1,1,0;1,1,1", "--rows", "1,0;1,0;1,z"),
+    # `int` and `Fraction` alone accept underscores, non-ASCII digits,
+    # spaces and exponents
+    ("dim", "--label", "1_0,0,0"),
+    ("dim", "--label", "\u0662,1,0"),
+    ("dim", "--label", " 2, 1 ,0"),
+    ("threej", "--j", "1_0,10,0", "--m", "0,0,0"),
+    ("threej", "--j", "1e0,1,0", "--m", "0,0,0"),
+    ("threej", "--j", "1e6,1e6,0", "--m", "0,0,0"),
+    ("isoscalar", "--labels", "2,1,0;2,1,0;2,1,0", "--rows", "2,0;2,0;2,0",
+     "--rho", "1_0"),
 ])
 def test_malformed_number_is_a_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -401,7 +411,7 @@ _INJECTED = [
      lambda golden: {**golden, "1010": "y(4,2)"},
      "generating-function-fixtures: 15 checks "
      "(word 1010: x(3,2)*y(2,1)*y(4,2) != y(4,2))"),
-    ("orthonormality", "basisgen", "norm_sq_u3",
+    ("orthonormality", "oracles", "norm_sq_u3",
      lambda f: lambda p: f(p) + (p.top == (2, 1, 0)),
      "orthonormality: 623 checks (U(3) norm formula at "
      "GelfandPattern([[2, 1, 0], [2, 1], [2]]))"),
@@ -429,7 +439,7 @@ _INJECTED = [
          f(labels, rows, rho) * (-1 if labels[2] == (2, 1, 0) else 1)),
      "su3-coupling: 244 checks (factorization (((1, 0, 0), (0, 0), (0,)), "
      "((1, 1, 0), (1, 0), (0,)), ((2, 1, 0), (2, 1), (2,)), 1))"),
-    ("kernel", "basisgen", "const_A",
+    ("kernel", "oracles", "const_A",
      lambda f: lambda l: f(l) * (2 if l.h == (2, 1) else 1),
      "kernel-identity: 3 checks (label IrrepLabel[2, 1])"),
 ]

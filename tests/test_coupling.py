@@ -272,6 +272,35 @@ class TestKExponents:
         assert table.rho_count == 2 and table.k3_values == (0, 1)
 
 
+class TestCharacterMultiplicity:
+    """The Weyl-character count of invariants against the seven-generator
+    family that `rho_count` counts, on the 4,096 ordered triples of the
+    labels (a, b, 0) with 4 >= a >= b >= 0 and (1, 1, 1), split by the sign
+    of tot = sum(p) - sum(q)."""
+
+    LABELS = [(a, b, 0) for a in range(5) for b in range(a + 1)] + [(1, 1, 1)]
+
+    def _triples(self, negative: bool):
+        return [t for t in itertools.product(self.LABELS, repeat=3)
+                if (sum(a - 2 * b + c for a, b, c in t) < 0) == negative]
+
+    @staticmethod
+    def _mismatches(triples):
+        return [t for t in triples if oracles.su3_multiplicity_character(t)
+                != len(coupling._k_family(t))]
+
+    def test_matches_rho_count_where_tot_is_not_negative(self):
+        triples = self._triples(negative=False)
+        assert len(triples) == 2_272
+        assert self._mismatches(triples) == []
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_matches_rho_count_where_tot_is_negative(self):
+        # 156 of these triples couple, 3bar x 3bar x 3bar the smallest, but
+        # have no family without the eighth invariant
+        assert self._mismatches(self._triples(negative=True)) == []
+
+
 def octet_slot_tables():
     p = GelfandPattern([[2, 1, 0], [2, 1], [2]])
     lr = lr_exponents(p)

@@ -12,23 +12,24 @@ from gtboson.gelfand import (
     enumerate_patterns,
     lr_exponents,
     pattern_phi,
-    semimax_pattern,
-    validate_pattern,
     weight,
     weyl_dimension,
 )
+from gtboson.oracles import semimax_pattern
 from gtboson.polyengine import mono_text
 
 
 class TestValidation:
     def test_valid_triangle(self):
-        assert validate_pattern([[2, 1, 0], [2, 1], [1]])
+        p = GelfandPattern([[2, 1, 0], [2, 1], [1]])
+        assert p.rows == ((2, 1, 0), (2, 1), (1,))
 
     def test_betweenness_violation(self):
-        assert not validate_pattern([[2, 1, 0], [2, 2], [2]])
+        with pytest.raises(DomainError, match="violates betweenness"):
+            GelfandPattern([[2, 1, 0], [2, 2], [2]])
 
     def test_spin_half_highest(self):
-        assert validate_pattern([[1, 0], [1]])
+        assert GelfandPattern([[1, 0], [1]]).rows == ((1, 0), (1,))
 
     def test_malformed_shape(self):
         with pytest.raises(StructureError):
@@ -51,7 +52,6 @@ class TestValidation:
         with pytest.raises(DomainError, match=rf"negative entry: "
                                               rf"h\[{n},{n}\]={rows[0][-1]}$"):
             GelfandPattern(rows)
-        assert not validate_pattern(rows)
 
     @pytest.mark.parametrize("entry", [2.5, 2.0, Fraction(2), "2"])
     def test_non_integer_entries_rejected(self, entry):
@@ -184,7 +184,6 @@ class TestLRExponents:
         # is non-negative
         with pytest.raises(DomainError):
             GelfandPattern([[2, 1, 0], [2, 2], [2]])
-        assert not validate_pattern([[2, 1, 0], [2, 2], [2]])
         for p in enumerate_patterns([3, 1, 0]):
             lr = lr_exponents(p)
             assert all(v >= 0 for v in lr.L.values())

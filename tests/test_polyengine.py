@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtboson.basisgen import _branch_family, branching_kernel
+from gtboson.basisgen import _branch_family
+from gtboson.oracles import branching_kernel
 from gtboson.packed import (
     PackedLayout,
     packed_power_product,

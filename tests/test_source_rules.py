@@ -2,8 +2,8 @@
 `python -O`), the cross-check routes in `gtboson.oracles` and
 `gtboson.racah` stay out of the library modules and their exports, the
 polynomial ring stays an integer ring with no conversion helpers around
-it, a packed monomial is read back only inside `PackedLayout`, and the
-public surface is pinned."""
+it, the basis module names no `Fraction`, a packed monomial is read back
+only inside `PackedLayout`, and the public surface is pinned."""
 
 import ast
 import pathlib
@@ -64,6 +64,7 @@ def test_oracle_routes_are_not_library_surface(module):
 def _names_fraction(node: ast.AST) -> bool:
     return any(isinstance(n, ast.Name) and n.id == "Fraction"
                or isinstance(n, ast.Attribute) and n.attr == "Fraction"
+               or isinstance(n, ast.alias) and n.name == "Fraction"
                for n in ast.walk(node))
 
 
@@ -74,6 +75,14 @@ def test_integer_ring_does_not_name_fraction():
     assert set(ring) == {"ExactPoly", "bargmann_inner"}
     assert not [name for name, node in ring.items() if _names_fraction(node)]
     assert _names_fraction(ast.parse("x: Fraction = fractions.Fraction(1)"))
+    assert _names_fraction(ast.parse("from fractions import Fraction"))
+
+
+def test_basis_module_does_not_name_fraction():
+    # every production basis and norm is an integer; the rational closed-form
+    # norms are oracles
+    assert not _names_fraction(
+        ast.parse((SRC / "basisgen.py").read_text(encoding="utf-8")))
 
 
 def test_no_integer_bridge():
@@ -113,17 +122,16 @@ PUBLIC = {
     "BasisPolynomial", "ConsistencyError", "CouplingTable", "DomainError",
     "ExactPoly", "GelfandPattern", "IrrepLabel", "IsoscalarUndefined",
     "SqrtRational", "StructureError", "bargmann_inner", "basis_from_branching",
-    "branching_kernel", "const_A", "coupling_table", "enumerate_patterns",
-    "lr_exponents", "minor", "norm_sq_semimax", "norm_sq_u2", "norm_sq_u3",
-    "p_n_1", "pattern_phi", "semimax_pattern", "su2_threej", "su3_isoscalar",
-    "su3_wigner", "symbolic_matrix", "u2_basis_closed", "u3_basis_closed",
-    "u4_basis_closed", "validate_pattern", "weight", "weyl_dimension",
+    "coupling_table", "enumerate_patterns", "lr_exponents", "minor", "p_n_1",
+    "pattern_phi", "su2_threej", "su3_isoscalar", "su3_wigner",
+    "symbolic_matrix", "u3_basis_closed", "u4_basis_closed", "weight",
+    "weyl_dimension",
 }
 
 
 def test_public_surface_resolves_and_is_pinned():
     # bench/spans.py wraps getattr(module, name) for every `__all__` entry
-    for module in (gelfand, polyengine, basisgen, coupling):
+    for module in (gelfand, polyengine, basisgen, coupling, oracles):
         missing = [n for n in module.__all__ if not hasattr(module, n)]
         assert not missing, f"{module.__name__}.__all__ names {missing}"
     exported = {n for n, v in vars(gtboson).items()
