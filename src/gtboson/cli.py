@@ -320,25 +320,43 @@ _COMMANDS = {
 }
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """The parser of one command, which gets its arguments when it first
+    parses.  argparse hands the rest of argv to the parser of the command
+    that argv names and to no other, so a process adds one command's
+    arguments; the program's help lists every command from its help text
+    alone."""
+
+    pending = None   # the command whose arguments are not added yet
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.pending is not None:
+            _, options, group, fn = _COMMANDS[self.pending]
+            self.pending = None
+            for flag, kwargs in options.items():
+                self.add_argument(flag, **kwargs)
+            self.add_argument("--format", choices=_FORMATS)
+            self.add_argument("--output", "-o", help="output file (relative "
+                              "paths resolve against GTBOSON_OUTPUT_DIR)")
+            if group:
+                self.add_argument("--group", choices=sorted(_GROUPS))
+            self.set_defaults(fn=fn)
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every command.  --format and --group default to None,
-    so that `run` can tell a flag from the config that fills it in."""
+    """The parser of every command; a command's parser gets its arguments
+    when it parses (`_CommandParser`).  --format and --group default to
+    None, so that `run` can tell a flag from the config that fills it in."""
     parser = argparse.ArgumentParser(
         prog="gtboson",
         description="Exact Gel'fand pattern, boson basis and coupling tables")
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--config", help="key=value config file")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, options, group, fn) in _COMMANDS.items():
-        p = sub.add_parser(name, help=text)
-        for flag, kwargs in options.items():
-            p.add_argument(flag, **kwargs)
-        p.add_argument("--format", choices=_FORMATS)
-        p.add_argument("--output", "-o", help="output file (relative paths "
-                       "resolve against GTBOSON_OUTPUT_DIR)")
-        if group:
-            p.add_argument("--group", choices=sorted(_GROUPS))
-        p.set_defaults(fn=fn)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_CommandParser)
+    for name, (text, *_) in _COMMANDS.items():
+        sub.add_parser(name, help=text).pending = name
     return parser
 
 

@@ -52,7 +52,6 @@ from .gelfand import (
     _pattern_rows,
     _rows_text,
     as_label,
-    as_pattern,
     patterns_of,
     weyl_dimension,
 )
@@ -111,14 +110,19 @@ def _xi_coefficient(p: Sequence[int], xy: Sequence[tuple[int, int]]) -> int:
 
 
 def _pattern_to_tjm(p) -> tuple[int, int]:
-    """Doubled (2j, 2m) of an SU(2) pattern; labels shifted by the
-    determinant are reduced to spin form."""
-    p = as_pattern(p)
-    if p.n != 2:
-        raise DomainError("SU(2) pattern required")
-    h12, h22 = p.row(2)
-    h11 = p.row(1)[0]
-    return h12 - h22, 2 * h11 - h12 - h22
+    """Doubled (2j, 2m) of an SU(2) pattern, read off its rows; labels
+    shifted by the determinant are reduced to spin form.  Rows of lengths
+    (2, 1) with h12 >= h11 >= h22 >= 0 are exactly the valid SU(2)
+    patterns, so only other rows are handed to GelfandPattern, which
+    raises its construction error; a valid pattern of another n is a
+    DomainError."""
+    rows = _pattern_rows(p)
+    if len(rows) == 2 and len(rows[0]) == 2 and len(rows[1]) == 1:
+        (h12, h22), (h11,) = rows
+        if h12 >= h11 >= h22 >= 0:
+            return h12 - h22, 2 * h11 - h12 - h22
+    GelfandPattern(rows)
+    raise DomainError("SU(2) pattern required")
 
 
 def _threej_parts(tjm: Sequence[tuple[int, int]]) -> tuple[int, int, int]:
@@ -144,9 +148,8 @@ def _threej_parts(tjm: Sequence[tuple[int, int]]) -> tuple[int, int, int]:
 def su2_threej(pat1, pat2, pat3) -> SqrtRational:
     """3-j symbol of three SU(2) patterns (zero on any selection-rule
     violation)."""
-    c, num, den = _threej_parts([_pattern_to_tjm(p)
-                                 for p in (pat1, pat2, pat3)])
-    return SqrtRational(c, Fraction(num, den))
+    return SqrtRational._from_parts(*_threej_parts(
+        [_pattern_to_tjm(p) for p in (pat1, pat2, pat3)]))
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +163,8 @@ def _pq(label: IrrepLabel) -> tuple[int, int]:
 
 
 def _su3_labels(labels) -> tuple[IrrepLabel, ...]:
-    """The labels of a triple; DomainError unless they are three U(3)
-    labels."""
+    """The labels of a triple; each label's own error first, then
+    DomainError unless they are three U(3) labels."""
     labels = tuple(as_label(l) for l in labels)
     if len(labels) != 3 or any(l.n != 3 for l in labels):
         raise DomainError("SU(3) coupling requires three U(3) labels")
@@ -476,9 +479,22 @@ def _table_cached(h1: tuple, h2: tuple, h3: tuple) -> CouplingTable:
 
 def coupling_table(labels) -> CouplingTable:
     """Full Wigner coefficient table of an SU(3) label triple (the third
-    label enters in its conjugate embedding, as in any 3-symbol)."""
-    l1, l2, l3 = (as_label(l) for l in labels)
-    return _table_cached(l1.h, l2.h, l3.h)
+    label enters in its conjugate embedding, as in any 3-symbol).
+
+    The cache key is each label's row with its entries through
+    operator.index, so a cached table is reached without building labels;
+    `_table_cached` checks them when it builds.  An entry that is not an
+    integer, or a count other than three, raises what `_su3_labels`
+    raises: the first bad label's error, else the count's DomainError."""
+    labels = tuple(labels)
+    try:
+        rows = tuple([l.h if isinstance(l, IrrepLabel)
+                      else tuple(map(operator.index, l)) for l in labels])
+    except TypeError:
+        rows = ()
+    if len(rows) != 3:
+        _su3_labels(labels)
+    return _table_cached(*rows)
 
 
 def _table_at(labels, rho: int) -> CouplingTable:
@@ -564,5 +580,4 @@ def su3_isoscalar(labels, su2_rows, rho: int = 1) -> SqrtRational:
     if pair is None:
         raise IsoscalarUndefined(
             f"every SU(2) factor vanishes for rows {rows} of {labels}")
-    sign, n, d = pair
-    return SqrtRational(sign, Fraction(n, d))
+    return SqrtRational._from_parts(*pair)

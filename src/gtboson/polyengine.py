@@ -533,6 +533,24 @@ class SqrtRational(_Frozen):
         """Exact square root of a non-negative rational."""
         return cls(Fraction(1), _frac(r))
 
+    @classmethod
+    def _from_parts(cls, c: int, num: int, den: int) -> "SqrtRational":
+        """c * sqrt(num/den) for integers c and num, den >= 1, in canonical
+        form with no rational radicand in between: with num/den in lowest
+        terms, num*den = s**2 * m and m square-free, q = c*num/s and
+        r = 1/m.  Lowest terms keep the number to factor small."""
+        self = object.__new__(cls)
+        if c:
+            g = math.gcd(num, den)
+            num, den = num // g, den // g
+            s, m = squarefree_split(num * den)
+            q, r = Fraction(c * num, s), Fraction(1, m)
+        else:
+            q, r = Fraction(0), Fraction(1)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "r", r)
+        return self
+
     # -- arithmetic ---------------------------------------------------------
 
     def __mul__(self, other) -> "SqrtRational":

@@ -23,6 +23,19 @@ def test_threej_exact_text(capsys):
     assert code == 0 and out == "1/1*sqrt(1/2)\n"
 
 
+def test_only_the_named_command_gets_its_arguments():
+    parser = cli.build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    assert list(commands) == list(cli._COMMANDS)
+    args = parser.parse_args(["dim", "--label", "2,1,0", "--group", "u3"])
+    assert (args.command, args.label, args.group, args.fn) == (
+        "dim", "2,1,0", "u3", cli._cmd_dim)
+    flags = {name: [a.dest for a in p._actions]
+             for name, p in commands.items()}
+    assert flags.pop("dim") == ["help", "label", "format", "output", "group"]
+    assert set(map(tuple, flags.values())) == {("help",)}
+
+
 def test_patterns_trivial(capsys):
     code, out, _ = run_cli(capsys, "patterns", "--group", "u2",
                            "--label", "0,0")

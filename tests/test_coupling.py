@@ -423,6 +423,20 @@ class TestCouplingTables:
         with pytest.raises(DomainError, match="do not couple"):
             su3_isoscalar(labels, ((1, 0), (1, 0), (1, 1)), 1)
 
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_label_count_is_a_domain_error(self, count):
+        # two labels used to raise a bare "not enough values to unpack",
+        # four "too many values to unpack"
+        labels = [[2, 1, 0]] * count
+        pats = [[[2, 1, 0], [2, 1], [2]], [[2, 1, 0], [1, 0], [0]],
+                [[2, 1, 0], [2, 0], [1]]]
+        for read in (lambda: coupling_table(labels),
+                     lambda: su3_wigner(labels, pats, 1)):
+            with pytest.raises(DomainError) as exc:
+                read()
+            assert str(exc.value) == "SU(3) coupling requires three U(3) " \
+                                     "labels"
+
     def test_paths_agree(self):
         labels = ((1, 0, 0), (1, 1, 0), (2, 1, 0))
         pats = [enumerate_patterns(IrrepLabel(h)) for h in labels]
