@@ -81,16 +81,6 @@ class BasisPolynomial(_Frozen):
             "norm_sq": f"{self.norm_sq}/1",
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "BasisPolynomial":
-        """Rebuild from the wire form; the pattern determines the polynomial,
-        which is re-derived and checked against the serialized text."""
-        b = basis_from_branching(GelfandPattern.from_json(obj["pattern"]))
-        if b.poly.text() != obj["poly"] or obj["norm_sq"] != f"{b.norm_sq}/1":
-            raise ValueError("serialized basis polynomial does not match "
-                             "its pattern")
-        return b
-
 
 def _check_branching(label: IrrepLabel, branch: IrrepLabel) -> None:
     if branch.n != label.n - 1:

@@ -2,12 +2,13 @@
 
 Subcommands: patterns, dim, basis, pn1, threej, su3cg, isoscalar, selftest.
 Output is deterministic (canonical orderings everywhere) and exact: values
-are rendered as p/q*sqrt(a/b), JSON carries the same data structurally.
+are rendered as p/q*sqrt(a/b), JSON (output only) carries the same data.
 
 Exit codes: 0 on success, 1 on domain rejection (invalid label or pattern,
-with the violated inequality named), 2 on usage errors (malformed numbers,
-config values outside their choices, an unwritable output file), 3 when an
-internal consistency check fails (two routes disagree: a library fault).
+with the violated inequality named), 2 on usage errors (malformed numbers
+or ones of more than 4,300 digits, config values outside their choices, an
+unwritable output file), 3 when an internal consistency check fails (two
+routes disagree: a library fault).
 
 Start-up loads the library modules and nothing a command does not run:
 `threej` imports the Racah sum (`gtboson.racah`, not the other oracles),
@@ -63,14 +64,21 @@ class _UsageError(Exception):
 # underscores, non-ASCII digits, exponents and surrounding spaces.
 _TOKENS = {int: re.compile(r"[+-]?[0-9]+"),
            Fraction: re.compile(r"[+-]?[0-9]+(?:/2|\.5)?")}
+# A token may have at most Python's default int-to-text limit of digits,
+# which bounds the time a read takes.
+_MAX_DIGITS = 4300
+_TOO_LONG = re.compile(f"[0-9]{{{_MAX_DIGITS + 1}}}")
 
 
 def _numbers(text: str, kind=int) -> list:
     """Comma-separated numbers of `kind` (int, or Fraction for spins); any
-    other token makes the text a usage error."""
+    other token, or one of more than `_MAX_DIGITS` digits, makes the text
+    a usage error."""
     tokens = text.split(",")
     if not all(map(_TOKENS[kind].fullmatch, tokens)):
         raise _UsageError(f"malformed number list {text!r}")
+    if _TOO_LONG.search(text):
+        raise _UsageError(f"number of more than {_MAX_DIGITS} digits")
     return list(map(kind, tokens))
 
 
@@ -79,7 +87,7 @@ def _integer(text: str) -> int:
     `isoscalar --rho`); argparse passes a usage error through."""
     if not _TOKENS[int].fullmatch(text):
         raise _UsageError(f"malformed number list {text!r}")
-    return int(text)
+    return _numbers(text)[0]
 
 
 def _parse_label(text: str, group: str | None = None) -> IrrepLabel:
@@ -320,47 +328,33 @@ _COMMANDS = {
 }
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """The parser of one command, which gets its arguments when it first
-    parses.  argparse hands the rest of argv to the parser of the command
-    that argv names and to no other, so a process adds one command's
-    arguments; the program's help lists every command from its help text
-    alone."""
-
-    pending = None   # the command whose arguments are not added yet
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self.pending is not None:
-            _, options, group, fn = _COMMANDS[self.pending]
-            self.pending = None
-            for flag, kwargs in options.items():
-                self.add_argument(flag, **kwargs)
-            self.add_argument("--format", choices=_FORMATS)
-            self.add_argument("--output", "-o", help="output file (relative "
-                              "paths resolve against GTBOSON_OUTPUT_DIR)")
-            if group:
-                self.add_argument("--group", choices=sorted(_GROUPS))
-            self.set_defaults(fn=fn)
-        return super().parse_known_args(args, namespace)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every command; a command's parser gets its arguments
-    when it parses (`_CommandParser`).  --format and --group default to
-    None, so that `run` can tell a flag from the config that fills it in."""
+    """The parser of every command.  --format and --group default to None,
+    so that `run` can tell a flag from the config that fills it in."""
     parser = argparse.ArgumentParser(
         prog="gtboson",
         description="Exact Gel'fand pattern, boson basis and coupling tables")
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--config", help="key=value config file")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_CommandParser)
-    for name, (text, *_) in _COMMANDS.items():
-        sub.add_parser(name, help=text).pending = name
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, options, group, fn) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
+        p.add_argument("--format", choices=_FORMATS)
+        p.add_argument("--output", "-o", help="output file (relative paths "
+                       "resolve against GTBOSON_OUTPUT_DIR)")
+        if group:
+            p.add_argument("--group", choices=sorted(_GROUPS))
+        p.set_defaults(fn=fn)
     return parser
 
 
 def run(argv=None) -> int:
+    # a result may print more digits than Python's int-to-text limit, which
+    # is lifted while the command runs; `_numbers` bounds what is read
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
         # a flag beats the config (--config or GTBOSON_CONFIG), and the
@@ -384,6 +378,8 @@ def run(argv=None) -> int:
     except ConsistencyError as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return 3
+    finally:
+        sys.set_int_max_str_digits(limit)
     return 0
 
 

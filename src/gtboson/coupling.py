@@ -213,7 +213,7 @@ class CouplingTable:
 
     def __init__(self, labels, k3_values: tuple[int, ...],
                  entries: dict[tuple, SqrtRational]):
-        self.labels = tuple(as_label(l) for l in labels)
+        self.labels = labels
         self.k3_values = k3_values
         self.entries = entries
         self.normalization = "gram-block-unitary"
@@ -240,7 +240,7 @@ class CouplingTable:
         if val is None:
             # stored keys are valid, so only a miss builds the patterns
             self._check_key(key)
-            return SqrtRational.zero()
+            return SqrtRational(0)
         return val
 
     def _check_key(self, key: tuple) -> None:
@@ -279,25 +279,6 @@ class CouplingTable:
                 for key, val in self._ordered()
             ],
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CouplingTable":
-        """Rebuild a table; DomainError for a key that a lookup would
-        refuse (a pattern outside its slot's label, or rho out of range)."""
-        labels = [IrrepLabel(h) for h in obj["labels"]]
-        k3_values = tuple(obj["k3_values"])
-        if k3_values != tuple(sorted(_k_family(labels))):
-            raise ValueError("serialized k3 values do not match the labels")
-        if obj["rho_count"] != len(k3_values):
-            raise ValueError("serialized rho_count does not match the k3 "
-                             "values")
-        table = cls(labels=labels, k3_values=k3_values, entries={})
-        for e in obj["entries"]:
-            key = tuple(GelfandPattern.from_json(p).rows for p in e["patterns"])
-            key += (operator.index(e["rho"]),)
-            table._check_key(key)
-            table.entries[key] = SqrtRational.from_json(e["value"])
-        return table
 
     def to_csv(self) -> str:
         lines = ["pattern1,pattern2,pattern3,rho,value"]

@@ -135,13 +135,6 @@ class GelfandPattern(_Frozen):
     def to_json(self) -> dict:
         return {"n": self.n, "rows": [list(r) for r in self.rows]}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "GelfandPattern":
-        p = cls(obj["rows"])
-        if p.n != obj.get("n", p.n):
-            raise StructureError("pattern JSON 'n' does not match rows")
-        return p
-
     def __repr__(self):
         return f"GelfandPattern({[list(r) for r in self.rows]})"
 

@@ -139,14 +139,6 @@ def mono_text(m: Monomial) -> str:
     return "*".join(parts)
 
 
-def _frac(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"expected exact rational coefficient, got {type(c)!r}")
-
-
 # Sorts after every (VarId, exponent) pair, so a monomial that extends
 # another sorts before it.
 _END = ((("~",),),)
@@ -499,63 +491,42 @@ class SqrtRational(_Frozen):
 
     __slots__ = ("q", "r")
 
-    def __init__(self, q, r=Fraction(1)):
-        q = _frac(q)
-        r = _frac(r)
+    def __init__(self, q, r=1):
+        for x in (q, r):
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"expected exact rational coefficient, got "
+                                f"{type(x)!r}")
         if r < 0:
             raise ValueError("radicand must be non-negative")
-        if q == 0 or r == 0:
-            object.__setattr__(self, "q", Fraction(0))
-            object.__setattr__(self, "r", Fraction(1))
-            return
-        # q * sqrt(a/b) = (q a) * sqrt(1/(a b)); peel the square part of a b.
-        a, b = r.numerator, r.denominator
-        c, m = squarefree_split(a * b)
-        object.__setattr__(self, "q", q * Fraction(a, c))
-        object.__setattr__(self, "r", Fraction(1, m))
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "SqrtRational":
-        return cls(0, 1)
-
-    @classmethod
-    def one(cls) -> "SqrtRational":
-        return cls(1, 1)
-
-    @classmethod
-    def from_rational(cls, q) -> "SqrtRational":
-        return cls(_frac(q), Fraction(1))
-
-    @classmethod
-    def sqrt(cls, r) -> "SqrtRational":
-        """Exact square root of a non-negative rational."""
-        return cls(Fraction(1), _frac(r))
+        self._canonical(q.numerator, q.denominator, r.numerator, r.denominator)
 
     @classmethod
     def _from_parts(cls, c: int, num: int, den: int) -> "SqrtRational":
-        """c * sqrt(num/den) for integers c and num, den >= 1, in canonical
-        form with no rational radicand in between: with num/den in lowest
-        terms, num*den = s**2 * m and m square-free, q = c*num/s and
-        r = 1/m.  Lowest terms keep the number to factor small."""
+        """c * sqrt(num/den) for integers c and num, den >= 1, with no
+        rational radicand in between.  Lowest terms keep the number to
+        factor small."""
         self = object.__new__(cls)
-        if c:
-            g = math.gcd(num, den)
-            num, den = num // g, den // g
-            s, m = squarefree_split(num * den)
-            q, r = Fraction(c * num, s), Fraction(1, m)
+        g = math.gcd(num, den)
+        self._canonical(c, 1, num // g, den // g)
+        return self
+
+    def _canonical(self, qn: int, qd: int, rn: int, rd: int) -> None:
+        """Set the canonical form of (qn/qd) * sqrt(rn/rd), rn/rd in lowest
+        terms: with rn*rd = s**2 * m and m square-free, q = qn*rn/(qd*s) and
+        r = 1/m; a zero sets q = 0, r = 1."""
+        if qn and rn:
+            s, m = squarefree_split(rn * rd)
+            q, r = Fraction(qn * rn, qd * s), Fraction(1, m)
         else:
             q, r = Fraction(0), Fraction(1)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "r", r)
-        return self
 
     # -- arithmetic ---------------------------------------------------------
 
     def __mul__(self, other) -> "SqrtRational":
         if isinstance(other, (int, Fraction)):
-            return SqrtRational(self.q * _frac(other), self.r)
+            return SqrtRational(self.q * other, self.r)
         if isinstance(other, SqrtRational):
             return SqrtRational(self.q * other.q, self.r * other.r)
         return NotImplemented
@@ -564,7 +535,7 @@ class SqrtRational(_Frozen):
 
     def __truediv__(self, other) -> "SqrtRational":
         if isinstance(other, (int, Fraction)):
-            return SqrtRational(self.q / _frac(other), self.r)
+            return SqrtRational(self.q / other, self.r)
         if isinstance(other, SqrtRational):
             if other.is_zero():
                 raise ZeroDivisionError("division by zero SqrtRational")
@@ -574,7 +545,7 @@ class SqrtRational(_Frozen):
 
     def __add__(self, other) -> "SqrtRational":
         if isinstance(other, (int, Fraction)):
-            other = SqrtRational.from_rational(other)
+            other = SqrtRational(other)
         if not isinstance(other, SqrtRational):
             return NotImplemented
         if self.is_zero():
@@ -616,10 +587,6 @@ class SqrtRational(_Frozen):
     def to_json(self) -> dict:
         return {"q": f"{self.q.numerator}/{self.q.denominator}",
                 "r": f"{self.r.numerator}/{self.r.denominator}"}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SqrtRational":
-        return cls(Fraction(obj["q"]), Fraction(obj["r"]))
 
     def __repr__(self):
         return f"SqrtRational({self.text()})"

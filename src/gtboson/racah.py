@@ -34,17 +34,17 @@ def racah_threej_oracle(j1, m1, j2, m2, j3, m3) -> SqrtRational:
     tj = [_two(j ) for j in (j1, j2, j3)]
     tm = [_two(m) for m in (m1, m2, m3)]
     if any((a + b) % 2 for a, b in zip(tj, tm)) or any(abs(b) > a for a, b in zip(tj, tm)):
-        return SqrtRational.zero()
+        return SqrtRational(0)
     if sum(tm) != 0:
-        return SqrtRational.zero()
+        return SqrtRational(0)
     tJ = sum(tj)
     if tJ % 2:
-        return SqrtRational.zero()
+        return SqrtRational(0)
     c1 = (tj[0] + tj[1] - tj[2]) // 2
     c2 = (tj[0] - tj[1] + tj[2]) // 2
     c3 = (-tj[0] + tj[1] + tj[2]) // 2
     if c1 < 0 or c2 < 0 or c3 < 0:
-        return SqrtRational.zero()
+        return SqrtRational(0)
     a1 = (tj[0] - tm[0]) // 2
     a2 = (tj[1] + tm[1]) // 2
     b1 = (tj[2] - tj[1] + tm[0]) // 2
@@ -58,7 +58,7 @@ def racah_threej_oracle(j1, m1, j2, m2, j3, m3) -> SqrtRational:
                         * _fact(b1 + k) * _fact(b2 + k))
         total += term
     if not total:
-        return SqrtRational.zero()
+        return SqrtRational(0)
     phase = (tj[0] - tj[1] - tm[2]) // 2
     if phase % 2:
         total = -total

@@ -66,8 +66,7 @@ class TestValidation:
             GelfandPattern([[2, 1, 0], [2, 1], [3]])
 
     @pytest.mark.parametrize("build", [
-        GelfandPattern, lr_exponents, pattern_phi, weight,
-        lambda rows: GelfandPattern.from_json({"n": 2, "rows": rows})])
+        GelfandPattern, lr_exponents, pattern_phi, weight])
     def test_no_invalid_pattern_reaches_a_function(self, build):
         with pytest.raises(DomainError, match=r"^pattern 1,0;2 violates "
                            r"betweenness: h\[1,2\]=1 >= h\[1,1\]=2 "
@@ -212,13 +211,3 @@ class TestPhiMonomial:
             pats = enumerate_patterns(h)
             monos = {pattern_phi(p) for p in pats}
             assert len(monos) == len(pats)
-
-
-class TestJson:
-    def test_round_trip(self):
-        p = GelfandPattern([[2, 1, 0], [2, 1], [1]])
-        assert GelfandPattern.from_json(p.to_json()) == p
-
-    def test_shape_checked(self):
-        with pytest.raises(StructureError):
-            GelfandPattern.from_json({"n": 3, "rows": [[2, 1, 0], [2, 1]]})

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -412,6 +413,13 @@ class TestMonomialOrder:
 
 small_fracs = st.fractions(min_value=-100, max_value=100, max_denominator=60)
 pos_fracs = st.fractions(min_value=0, max_value=400, max_denominator=60)
+bounded_fracs = st.fractions(min_value=-10 ** 4, max_value=10 ** 4,
+                             max_denominator=10 ** 4)
+pos_bounded_fracs = st.fractions(min_value=0, max_value=10 ** 4,
+                                 max_denominator=10 ** 4)
+# primes far past the trial-division table, as denominators of q and
+# factors of r
+big_primes = st.sampled_from([1_000_000_007, 998_244_353, 2 ** 61 - 1])
 
 
 class TestSqrtRational:
@@ -425,7 +433,7 @@ class TestSqrtRational:
     @settings(max_examples=200, deadline=None)
     def test_same_radicand_product(self, a, r, b):
         x, y = SqrtRational(a, r), SqrtRational(b, r)
-        assert (x * y) == SqrtRational.from_rational(a * b * r)
+        assert (x * y) == SqrtRational(a * b * r)
 
     @given(small_fracs, small_fracs, pos_fracs)
     @settings(max_examples=200, deadline=None)
@@ -433,6 +441,23 @@ class TestSqrtRational:
         # a*sqrt(b^2 r) and a*b*sqrt(r) are the same number
         assert SqrtRational(a, b * b * r if b else r) == \
             SqrtRational(a * abs(b) if b else a, r)
+
+    @given(st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                     st.builds(lambda f, p: f / p, bounded_fracs, big_primes)),
+           st.one_of(st.just(0), st.integers(0, 10 ** 6), pos_bounded_fracs,
+                     pos_bounded_fracs.map(lambda f: f * f),
+                     st.builds(operator.mul, pos_bounded_fracs, big_primes)))
+    @settings(max_examples=300, deadline=None)
+    def test_constructor_is_canonical(self, q, r):
+        # r = 1/m with m square-free, the same q^2 r and sign, zero as (0, 1)
+        v = SqrtRational(q, r)
+        m = v.r.denominator
+        assert (type(v.q), type(v.r)) == (Fraction, Fraction)
+        assert v.r.numerator == 1 and squarefree_split(m) == (1, m)
+        assert v.q * v.q * v.r == q * q * r
+        assert v.sign() == (((q > 0) - (q < 0)) if r else 0)
+        if not v.sign():
+            assert (v.q, v.r) == (0, 1)
 
     def test_addition_same_radicand(self):
         x = SqrtRational(Fraction(1, 2), 3)
@@ -444,18 +469,19 @@ class TestSqrtRational:
             SqrtRational(1, 2) + SqrtRational(1, 3)
 
     def test_zero_is_canonical(self):
-        assert SqrtRational(0, 7) == SqrtRational.zero()
-        assert SqrtRational(3, 0) == SqrtRational.zero()
+        assert SqrtRational(0, 7) == SqrtRational(0)
+        assert SqrtRational(3, 0) == SqrtRational(0)
+        assert (SqrtRational(0).q, SqrtRational(0).r) == (0, 1)
 
     def test_wire_format(self):
         v = SqrtRational(1, Fraction(1, 2))
         assert v.text() == "1/1*sqrt(1/2)"
-        assert SqrtRational.from_json(v.to_json()) == v
+        assert v.to_json() == {"q": "1/1", "r": "1/2"}
 
     def test_division(self):
         x = SqrtRational(3, 2)
-        assert x / x == SqrtRational.one()
-        assert SqrtRational.one() / SqrtRational.sqrt(2) == \
+        assert x / x == SqrtRational(1)
+        assert SqrtRational(1) / SqrtRational(1, 2) == \
             SqrtRational(1, Fraction(1, 2))
 
     @given(st.integers(min_value=1, max_value=10 ** 9))

@@ -3,7 +3,8 @@
 `gtboson.racah` stay out of the library modules and their exports, the
 polynomial ring stays an integer ring with no conversion helpers around
 it, the basis module names no `Fraction`, a packed monomial is read back
-only inside `PackedLayout`, and the public surface is pinned."""
+only inside `PackedLayout`, and the public surface is pinned, down to the
+members of each exported class."""
 
 import ast
 import pathlib
@@ -137,3 +138,34 @@ def test_public_surface_resolves_and_is_pinned():
     exported = {n for n, v in vars(gtboson).items()
                 if not n.startswith("_") and not isinstance(v, types.ModuleType)}
     assert exported == PUBLIC
+
+
+# The public attributes of each exported class (methods, classmethods,
+# properties and fields, its own and those of its gtboson bases): an
+# alternate constructor or a reader cannot come back unnoticed.
+PUBLIC_MEMBERS = {
+    "BasisPolynomial": {"norm_sq", "pattern", "poly", "to_json"},
+    "ConsistencyError": set(),
+    "CouplingTable": {"k_vectors", "nonzero_keys", "rho_count", "to_csv",
+                      "to_json", "value"},
+    "DomainError": set(),
+    "ExactPoly": {"coefficient", "const", "is_zero", "leading_coefficient",
+                  "leading_monomial", "map_variables", "monomial", "terms",
+                  "text", "variable"},
+    "GelfandPattern": {"entry", "lower", "n", "row", "rows", "to_json", "top"},
+    "IrrepLabel": {"h", "n"},
+    "IsoscalarUndefined": set(),
+    "SqrtRational": {"is_zero", "q", "r", "sign", "squared", "text",
+                     "to_json"},
+    "StructureError": set(),
+}
+
+
+def test_public_class_members_are_pinned():
+    members = {
+        name: {attr for base in cls.__mro__
+               if base.__module__.startswith("gtboson")
+               for attr in vars(base) if not attr.startswith("_")}
+        for name, cls in vars(gtboson).items()
+        if name in PUBLIC and isinstance(cls, type)}
+    assert members == PUBLIC_MEMBERS
